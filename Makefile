@@ -17,7 +17,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Packet-path microbenchmarks (interpreter / specialized / batch / telemetry).
+# Packet-path microbenchmarks (single capsule / batch / telemetry / lanes).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPacketPath' -benchmem .
 

@@ -118,8 +118,9 @@ func BenchmarkSec62CompileComparison(b *testing.B) {
 
 // --- Microbenchmarks of the hot substrates ---
 
-// BenchmarkPipelineExec measures one cache-query execution through the full
-// 20-stage interpreter (the per-packet dataplane cost of the simulator).
+// BenchmarkPipelineExec measures one cache-query execution through the
+// embedding facade (core.System.Execute: the compiled plan plus copying the
+// outputs out).
 func BenchmarkPipelineExec(b *testing.B) {
 	sys, err := core.New(core.DefaultConfig())
 	if err != nil {
@@ -143,9 +144,8 @@ RETURN
 }
 
 // BenchmarkPacketPath measures the allocation-free capsule hot path: one
-// cache-query execution through ExecuteCapsule with pooled scratch state
-// and specialization on (the default), so steady-state iterations run
-// through the compiled plan. The allocs/op figure is the regression gate —
+// cache-query execution through ExecuteCapsule with pooled scratch state,
+// so steady-state iterations run through the cached compiled plan. The allocs/op figure is the regression gate —
 // it must be 0 in steady state (TestExecuteCapsuleZeroAlloc enforces it;
 // this benchmark tracks the ns/op trajectory alongside).
 func BenchmarkPacketPath(b *testing.B) {
@@ -165,29 +165,7 @@ func BenchmarkPacketPath(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketPathInterpreter is BenchmarkPacketPath with specialization
-// forced off: every capsule runs through the interpreter. This is the
-// continuity series for the pre-specialization numbers and the denominator
-// of the specialized speedup gate.
-func BenchmarkPacketPathInterpreter(b *testing.B) {
-	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys.RT.SetSpecialization(false)
-	res := runtime.NewExecResult()
-	sink := sys.RT.NewExecSink()
-	for i := 0; i < len(ring); i++ { // warm scratch buffers
-		sys.RT.ExecuteCapsule(ring[i], res, sink)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.RT.ExecuteCapsule(ring[i%len(ring)], res, sink)
-	}
-}
-
-// BenchmarkPacketPathBatch runs the specialized path through ExecuteBatch
+// BenchmarkPacketPathBatch runs the same path through ExecuteBatch
 // (batch size DefaultExecBatch): snapshot and plan-table loads amortized
 // across the batch. Reported per packet.
 func BenchmarkPacketPathBatch(b *testing.B) {

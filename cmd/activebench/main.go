@@ -12,9 +12,9 @@
 // writes its CSV data series to DIR/<id>.csv (default: results/).
 //
 // -lanes N runs the packet-path throughput harness instead: capsule
-// executions per second for the interpreter baseline, the specialized
-// (compiled-plan) path, the batched specialized path, and the multi-lane
-// dataplane at 1..N lanes, written to BENCH_pipeline.json for the perf
+// executions per second for the single-capsule path the switch runs, its
+// batched form, and the multi-lane dataplane at 1..N lanes, plus the
+// end-to-end fabric series, written to BENCH_pipeline.json for the perf
 // trajectory (gated by `make benchdiff`).
 package main
 
@@ -140,8 +140,7 @@ func runPipelineBench(n, packets int, path, telAddr string) error {
 	}
 	fmt.Printf("== packet-path throughput (%d tenants, cache workload, GOMAXPROCS=%d)\n",
 		res.Tenants, res.GoMaxProcs)
-	fmt.Printf("   %-12s %12.0f pps   (interpreter baseline)\n", "single", res.Single.PPS)
-	fmt.Printf("   %-12s %12.0f pps   %.2fx vs single\n", "specialized", res.Specialized.PPS, res.Specialized.Speedup)
+	fmt.Printf("   %-12s %12.0f pps   (single-capsule baseline)\n", "single", res.Single.PPS)
 	fmt.Printf("   %-12s %12.0f pps   %.2fx vs single\n", "batch", res.Batch.PPS, res.Batch.Speedup)
 	fmt.Printf("   %-12s %12.0f pps   %+.1f%% telemetry overhead\n",
 		"single+tel", res.SingleTelemetry.PPS, res.TelemetryDelta)
@@ -159,8 +158,8 @@ func runPipelineBench(n, packets int, path, telAddr string) error {
 			"scaling eff", mc.ScalingEfficiency)
 	}
 	if res.Fabric.PPS > 0 {
-		fmt.Printf("   %-12s %12.0f rtts  %.4fx vs single (%d-switch leaf-spine, end to end)\n",
-			"fabric", res.Fabric.PPS, res.Fabric.Speedup, res.Fabric.Lanes)
+		fmt.Printf("   %-12s %12.0f rtts  %.4fx vs single, %.1f allocs/GET (%d-switch leaf-spine, end to end)\n",
+			"fabric", res.Fabric.PPS, res.Fabric.Speedup, res.Fabric.AllocsPerOp, res.Fabric.Lanes)
 	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {

@@ -24,8 +24,8 @@
 // The two engines are compared head to head with -policy-ab, which runs
 // the chaos library under both and writes one CSV row per scenario:
 //
-//	activesim -policy-ab results/policy_ab.csv
-//	activesim -policy-ab out.csv -chaos flaky-link   # one scenario only
+//	activesim -policy-ab results/policy_ab.csv -seed 11   # the committed CSV
+//	activesim -policy-ab out.csv -chaos flaky-link       # one scenario only
 //
 // The cache scenario accepts -chaos <name> to run under a fault schedule
 // from the chaos library (deterministic per -seed):

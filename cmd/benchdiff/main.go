@@ -5,18 +5,21 @@
 // committed baseline's noise bounds.
 //
 // Gating is ratio-based by default so the gate is machine-independent: raw
-// pps moves with the host, but the specialized/batch speedups over the
-// interpreter and the telemetry overhead are properties of the code.
+// pps moves with the host, but the batch and fabric ratios to the
+// single-capsule path, the telemetry overhead, and the allocations per
+// fabric GET are properties of the code.
 //
 //	hard gates (from the perf acceptance criteria, independent of baseline):
-//	  specialized speedup >= 1.5x single     batch speedup >= 1.5x single
-//	  telemetry overhead  <= 10% (one-sided: negative deltas are noise, not credit)
+//	  telemetry overhead  <= 10% of single (one-sided: negative deltas are
+//	                         noise, not credit)
+//	  fabric allocations  <= 18 per GET round trip
 //	  multicore: 4-lane speedup >= 2.5x 1-lane and scaling efficiency >= 0.6,
 //	             gated only when the host really has >= 4 CPUs (the series is
 //	             still measured and recorded on smaller hosts — honest numbers
 //	             either way, with numcpu in the JSON saying which)
 //	baseline gates (vs the committed BENCH_pipeline.json, -tolerance noise):
-//	  specialized and batch speedups not below baseline by > tolerance
+//	  batch speedup not below baseline by > tolerance
+//	  fabric allocations per GET not above baseline by > tolerance
 //	  telemetry overhead not above baseline by > tolerance (percentage pts)
 //	  fabric end-to-end ratio vs single not below baseline by > tolerance
 //	  multicore 4-lane speedup not below baseline by > tolerance (only when
@@ -26,11 +29,12 @@
 // only meaningful when the baseline was produced on this same machine.
 //
 // Noise is handled by N trials (-trials): each pps series keeps its fastest
-// observed run, while the gated ratios are medians of per-trial ratios —
-// paired measurements with robust aggregation, so neither a throttled trial
-// nor an unconverged denominator fakes a regression. -rebase regenerates the
-// committed baseline with the same methodology (use it, not a single
-// activebench shot, so both sides of the diff share noise treatment).
+// observed run, while the gated ratios (and allocations per fabric GET) are
+// medians of per-trial values — paired measurements with robust
+// aggregation, so neither a throttled trial nor an unconverged denominator
+// fakes a regression. -rebase regenerates the committed baseline with the
+// same methodology (use it, not a single activebench shot, so both sides of
+// the diff share noise treatment).
 package main
 
 import (
@@ -82,7 +86,6 @@ func runRebase(path string, trials, packets int) error {
 	}
 	fmt.Printf("benchdiff: rebased %s (best of %d, %d packets/run)\n", path, trials, packets)
 	fmt.Printf("  single      %12.0f pps\n", res.Single.PPS)
-	fmt.Printf("  specialized %12.0f pps  %.2fx\n", res.Specialized.PPS, res.Specialized.Speedup)
 	fmt.Printf("  batch       %12.0f pps  %.2fx\n", res.Batch.PPS, res.Batch.Speedup)
 	fmt.Printf("  single+tel  %12.0f pps  %+.1f%%\n", res.SingleTelemetry.PPS, res.TelemetryDelta)
 	for _, lr := range res.Lanes {
@@ -96,8 +99,8 @@ func runRebase(path string, trials, packets int) error {
 		fmt.Printf("  mc scaling   %.2f speedup/lane at 4 lanes\n", mc.ScalingEfficiency)
 	}
 	if res.Fabric.PPS > 0 {
-		fmt.Printf("  fabric      %12.0f rtts %.4fx (%d switches)\n",
-			res.Fabric.PPS, res.Fabric.Speedup, res.Fabric.Lanes)
+		fmt.Printf("  fabric      %12.0f rtts %.4fx, %.1f allocs/GET (%d switches)\n",
+			res.Fabric.PPS, res.Fabric.Speedup, res.Fabric.AllocsPerOp, res.Fabric.Lanes)
 	}
 	fmt.Printf("  defrag      frag %.4f -> %.4f, %d migrations, %d blocks, %d words\n",
 		res.Defrag.FragBefore, res.Defrag.FragAfter,
@@ -148,13 +151,13 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 		fmt.Printf("  %-14s %14.0f %14.0f %8.2fx\n", name, b.PPS, c.PPS, ratio)
 	}
 	row("single", base.Single, cur.Single)
-	row("specialized", base.Specialized, cur.Specialized)
 	row("batch", base.Batch, cur.Batch)
 	row("single+tel", base.SingleTelemetry, cur.SingleTelemetry)
 	row("fabric", base.Fabric, cur.Fabric)
-	fmt.Printf("  %-14s baseline %.2fx / %.2fx   current %.2fx / %.2fx\n",
-		"speedups", base.Specialized.Speedup, base.Batch.Speedup,
-		cur.Specialized.Speedup, cur.Batch.Speedup)
+	fmt.Printf("  %-14s baseline %.2fx   current %.2fx\n",
+		"batch speedup", base.Batch.Speedup, cur.Batch.Speedup)
+	fmt.Printf("  %-14s baseline %.1f   current %.1f\n",
+		"fabric allocs", base.Fabric.AllocsPerOp, cur.Fabric.AllocsPerOp)
 	fmt.Printf("  %-14s baseline %+.1f%%   current %+.1f%%\n",
 		"telemetry", base.TelemetryDelta, cur.TelemetryDelta)
 	if mc := cur.Multicore; mc != nil {
@@ -179,16 +182,13 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 	}
 
 	// Hard gates: the acceptance criteria hold regardless of the baseline.
-	const minSpeedup = 1.5
 	const maxTelemetryDelta = 10.0
-	if cur.Specialized.Speedup < minSpeedup {
-		fail("specialized speedup %.2fx below the hard %.1fx gate", cur.Specialized.Speedup, minSpeedup)
-	}
-	if cur.Batch.Speedup < minSpeedup {
-		fail("batch speedup %.2fx below the hard %.1fx gate", cur.Batch.Speedup, minSpeedup)
-	}
+	const maxFabricAllocs = 18.0
 	if cur.TelemetryDelta > maxTelemetryDelta {
 		fail("telemetry overhead %.1f%% above the hard %.0f%% gate", cur.TelemetryDelta, maxTelemetryDelta)
+	}
+	if cur.Fabric.AllocsPerOp > maxFabricAllocs {
+		fail("fabric allocations %.1f/GET above the hard %.0f gate", cur.Fabric.AllocsPerOp, maxFabricAllocs)
 	}
 
 	// Multicore gates. The series must exist once the baseline carries one;
@@ -224,23 +224,26 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 	}
 
 	// Baseline gates: ratios must not regress past the noise bound. A
-	// baseline without specialized/batch entries (pre-specialization) only
-	// contributes its telemetry gate.
+	// baseline without a batch entry (pre-batch) only contributes its
+	// telemetry gate.
 	slack := 1 - tolerance/100
-	if base.Specialized.Speedup > 0 && cur.Specialized.Speedup < base.Specialized.Speedup*slack {
-		fail("specialized speedup %.2fx regressed >%.0f%% from baseline %.2fx",
-			cur.Specialized.Speedup, tolerance, base.Specialized.Speedup)
-	}
 	if base.Batch.Speedup > 0 && cur.Batch.Speedup < base.Batch.Speedup*slack {
 		fail("batch speedup %.2fx regressed >%.0f%% from baseline %.2fx",
 			cur.Batch.Speedup, tolerance, base.Batch.Speedup)
 	}
-	// The fabric series gates on its ratio to the interpreter baseline: a
+	// The fabric series gates on its ratio to the single-capsule series: a
 	// relay-path or multi-hop regression shows up here even when raw pps
 	// moves with the host. Absent from pre-fabric baselines (Speedup 0).
 	if base.Fabric.Speedup > 0 && cur.Fabric.Speedup < base.Fabric.Speedup*slack {
 		fail("fabric ratio %.4fx regressed >%.0f%% from baseline %.4fx",
 			cur.Fabric.Speedup, tolerance, base.Fabric.Speedup)
+	}
+	// Allocations per GET are a property of the code, not the host: they
+	// may not grow past the baseline's by more than the tolerance. Absent
+	// from baselines that predate the measurement.
+	if b := base.Fabric.AllocsPerOp; b > 0 && cur.Fabric.AllocsPerOp > b*(1+tolerance/100) {
+		fail("fabric allocations %.1f/GET grew >%.0f%% from baseline %.1f",
+			cur.Fabric.AllocsPerOp, tolerance, b)
 	}
 	// The defrag series is virtual-time deterministic, so it gates on exact
 	// shape, not a noise band: once a baseline records migrations, the
@@ -295,7 +298,6 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 			}
 		}
 		abs("single", base.Single, cur.Single)
-		abs("specialized", base.Specialized, cur.Specialized)
 		abs("batch", base.Batch, cur.Batch)
 		abs("single+tel", base.SingleTelemetry, cur.SingleTelemetry)
 	}
@@ -312,14 +314,14 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 
 // bestOf runs the harness `trials` times and merges the results: each series
 // keeps its fastest observed pps (one-sided scheduler noise filtered), while
-// the gated ratios — speedups and the telemetry delta — are the MEDIAN of the
-// per-trial ratios. Per-trial ratios pair numerator and denominator measured
+// the gated ratios — speedups and the telemetry delta — and the allocations
+// per fabric GET are the MEDIAN of the per-trial values. Per-trial ratios pair numerator and denominator measured
 // seconds apart (correlated host noise cancels), and the median is robust to
 // a single trial landing on a throttled slice; a max-over-trials ratio would
 // instead inflate whenever the denominator's max failed to converge.
 func bestOf(trials, packets int, lanes []int) (*experiments.PipelineBench, error) {
 	var merged *experiments.PipelineBench
-	var specUps, batchUps, telUps, telDeltas, fabricUps, mcEffs []float64
+	var batchUps, telUps, telDeltas, fabricUps, fabricAllocs, mcEffs []float64
 	laneUps := map[int][]float64{}
 	mcUps := map[int][]float64{}
 	for i := 0; i < trials; i++ {
@@ -330,11 +332,11 @@ func bestOf(trials, packets int, lanes []int) (*experiments.PipelineBench, error
 		if err != nil {
 			return nil, err
 		}
-		specUps = append(specUps, res.Specialized.Speedup)
 		batchUps = append(batchUps, res.Batch.Speedup)
 		telUps = append(telUps, res.SingleTelemetry.Speedup)
 		telDeltas = append(telDeltas, res.TelemetryDelta)
 		fabricUps = append(fabricUps, res.Fabric.Speedup)
+		fabricAllocs = append(fabricAllocs, res.Fabric.AllocsPerOp)
 		for j, lr := range res.Lanes {
 			laneUps[j] = append(laneUps[j], lr.Speedup)
 		}
@@ -354,7 +356,6 @@ func bestOf(trials, packets int, lanes []int) (*experiments.PipelineBench, error
 			}
 		}
 		keep(&merged.Single, &res.Single)
-		keep(&merged.Specialized, &res.Specialized)
 		keep(&merged.Batch, &res.Batch)
 		keep(&merged.SingleTelemetry, &res.SingleTelemetry)
 		keep(&merged.Fabric, &res.Fabric)
@@ -371,11 +372,11 @@ func bestOf(trials, packets int, lanes []int) (*experiments.PipelineBench, error
 			}
 		}
 	}
-	merged.Specialized.Speedup = median(specUps)
 	merged.Batch.Speedup = median(batchUps)
 	merged.SingleTelemetry.Speedup = median(telUps)
 	merged.TelemetryDelta = median(telDeltas)
 	merged.Fabric.Speedup = median(fabricUps)
+	merged.Fabric.AllocsPerOp = median(fabricAllocs)
 	for j := range merged.Lanes {
 		merged.Lanes[j].Speedup = median(laneUps[j])
 	}

@@ -160,7 +160,7 @@ func maskFor(n int) uint32 {
 }
 
 // Programs returns every exemplar program template in this package, for
-// harnesses that iterate all registered apps (the interpreter-vs-specialized
+// harnesses that iterate all registered apps (the plan-vs-reference
 // differential suite and the docs catalogue).
 func Programs() []*isa.Program {
 	return []*isa.Program{

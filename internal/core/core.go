@@ -24,6 +24,9 @@ import (
 type System struct {
 	RT *runtime.Runtime
 	AL *alloc.Allocator
+
+	res  *runtime.ExecResult
+	sink *runtime.ExecSink
 }
 
 // Config bundles the two subsystem configurations.
@@ -47,7 +50,7 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{RT: rt, AL: al}, nil
+	return &System{RT: rt, AL: al, res: runtime.NewExecResult(), sink: rt.NewExecSink()}, nil
 }
 
 // Deployment is an admitted service: the placement the switch granted and
@@ -121,15 +124,38 @@ func grantFor(pl *alloc.Placement) runtime.Grant {
 	return g
 }
 
-// Execute runs one active packet through the pipeline.
+// Execute runs one active packet through the pipeline and returns its
+// outputs (primary first, then FORK clones). The outputs are copies the
+// caller owns; the deployment's program is shared, not cloned, so repeat
+// calls execute its cached plan.
 func (s *System) Execute(d *Deployment, args [4]uint32, flags uint16) []*runtime.Output {
 	a := &packet.Active{
 		Header:  packet.ActiveHeader{FID: d.FID, Flags: flags},
 		Args:    args,
-		Program: d.Program.Clone(),
+		Program: d.Program,
 	}
 	a.Header.SetType(packet.TypeProgram)
-	return s.RT.ExecuteProgram(a)
+	s.RT.BindSink(s.sink)
+	s.RT.ExecuteCapsule(a, s.res, s.sink)
+	s.sink.Path.FlushInto(s.RT)
+	s.sink.Dev.FlushInto(s.RT.Device())
+	s.RT.DeliverEvents(s.sink)
+	outs := make([]*runtime.Output, len(s.res.Outputs))
+	for i, o := range s.res.Outputs {
+		outs[i] = copyOutput(o)
+	}
+	return outs
+}
+
+// copyOutput deep-copies an output out of the reusable execution slots.
+func copyOutput(o *runtime.Output) *runtime.Output {
+	c := *o
+	act := *o.Active
+	if act.Program != nil {
+		act.Program = act.Program.Clone()
+	}
+	c.Active = &act
+	return &c
 }
 
 // Utilization reports switch memory utilization.

@@ -64,11 +64,15 @@ func runAblRecirc(cfg RunConfig) (*Result, error) {
 		}
 		long.Instrs = append(long.Instrs, isa.Instruction{Op: isa.OpReturn})
 		short := isa.MustAssemble("victim", "NOP\nRETURN")
+		a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Program: long}
+		a.Header.SetType(packet.TypeProgram)
+		b := &packet.Active{Header: packet.ActiveHeader{FID: 2}, Program: short}
+		b.Header.SetType(packet.TypeProgram)
+		res, sink := runtime.NewExecResult(), rt.NewExecSink()
 		for i := 0; i < 500; i++ {
 			now += time.Millisecond
-			a := &packet.Active{Header: packet.ActiveHeader{FID: 1}, Program: long.Clone()}
-			a.Header.SetType(packet.TypeProgram)
-			for _, out := range rt.ExecuteProgram(a) {
+			rt.ExecuteCapsule(a, res, sink)
+			for _, out := range res.Outputs {
 				if out.Dropped {
 					dropped++
 				} else {
@@ -76,9 +80,7 @@ func runAblRecirc(cfg RunConfig) (*Result, error) {
 					passes += uint64(out.Passes)
 				}
 			}
-			b := &packet.Active{Header: packet.ActiveHeader{FID: 2}, Program: short.Clone()}
-			b.Header.SetType(packet.TypeProgram)
-			rt.ExecuteProgram(b)
+			rt.ExecuteCapsule(b, res, sink)
 		}
 		return
 	}

@@ -103,6 +103,31 @@ func TestFig10Fine(t *testing.T) {
 	}
 }
 
+// TestFig11RowOrder pins the fig11 CSV layout: one header, then per scheme
+// (wf, ff, bf, realloc) the four metrics in a fixed order, so the committed
+// CSV reproduces byte for byte.
+func TestFig11RowOrder(t *testing.T) {
+	res, err := runFig11(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, sc := range []string{"wf", "ff", "bf", "realloc"} {
+		for _, m := range []string{"utilization", "realloc", "fairness", "failrate"} {
+			want = append(want, sc+","+m)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(res.CSV), "\n")
+	if len(lines) != len(want)+1 || lines[0] != "scheme,metric,p25,p50,p75,mean" {
+		t.Fatalf("fig11 CSV has %d lines, header %q", len(lines), lines[0])
+	}
+	for i, w := range want {
+		if f := strings.SplitN(lines[i+1], ",", 3); f[0]+","+f[1] != w {
+			t.Errorf("row %d = %s,%s, want %s", i+1, f[0], f[1], w)
+		}
+	}
+}
+
 func TestFig11Quick(t *testing.T) {
 	res, err := runFig11(quickCfg())
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	gort "runtime"
 	"time"
 
 	"activermt/internal/apps"
@@ -15,9 +16,9 @@ import (
 // back to the issuing host — so the number prices the whole fabric path
 // (switch relay checks, per-hop re-execution, event scheduling), not just
 // one device's execute loop. It rides in BENCH_pipeline.json next to the
-// single-switch series; the gate tracks its ratio to the interpreter
-// baseline so a relay-path slowdown on the shared switch hot path shows up
-// even when raw pps moves with the host.
+// single-switch series; the gate tracks its ratio to the single-capsule
+// series, so a relay-path slowdown on the shared switch hot path shows up
+// even when raw pps moves with the host, and caps its allocations per GET.
 
 // fabricBenchFlight is the number of GETs kept in flight per drain cycle.
 // Responses arrive within a few RTTs of virtual time; batching amortizes
@@ -25,7 +26,8 @@ import (
 const fabricBenchFlight = 64
 
 // RunFabricBench measures `packets` cache GETs through a 2x1 fabric and
-// returns the rate as a LaneRate (Lanes carries the switch count).
+// returns the rate and allocations per GET as a LaneRate (Lanes carries the
+// switch count).
 func RunFabricBench(packets int) (LaneRate, error) {
 	f, err := fabric.New(fabric.DefaultConfig(2, 1))
 	if err != nil {
@@ -85,11 +87,14 @@ func RunFabricBench(packets int) (LaneRate, error) {
 		return LaneRate{}, err
 	}
 	want := done + packets
+	var m0, m1 gort.MemStats
+	gort.ReadMemStats(&m0)
 	start := time.Now()
 	if err := run(packets); err != nil {
 		return LaneRate{}, err
 	}
 	el := time.Since(start)
+	gort.ReadMemStats(&m1)
 	if done < want {
 		return LaneRate{}, fmt.Errorf("fabric bench: %d of %d GETs unanswered", want-done, packets)
 	}
@@ -99,5 +104,7 @@ func RunFabricBench(packets int) (LaneRate, error) {
 		Seconds: el.Seconds(),
 		PPS:     float64(packets) / el.Seconds(),
 		Speedup: 1,
+
+		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(packets),
 	}, nil
 }

@@ -100,12 +100,10 @@ func runFig11(cfg RunConfig) (*Result, error) {
 				}
 			}
 		}
-		for metric, vals := range map[string][]float64{
-			"utilization": agg.util,
-			"realloc":     agg.reallocFrac,
-			"fairness":    agg.jain,
-			"failrate":    agg.failRate,
-		} {
+		// A fixed metric order (fig11Metrics) keeps the CSV byte-identical
+		// run to run.
+		for i, vals := range [][]float64{agg.util, agg.reallocFrac, agg.jain, agg.failRate} {
+			metric := fig11Metrics[i]
 			s := stats.Summarize(vals)
 			fmt.Fprintf(&b, "%s,%s,%g,%g,%g,%g\n", sc, metric, s.P25, s.P50, s.P75, s.Mean)
 			res.Metrics[fmt.Sprintf("%s_%s_median", sc, metric)] = s.P50
@@ -122,6 +120,9 @@ func runFig11(cfg RunConfig) (*Result, error) {
 			fmtF(res.Metrics["bf_utilization_median"]), fmtF(res.Metrics["realloc_utilization_median"])))
 	return res, nil
 }
+
+// fig11Metrics is the per-scheme row order of the fig11 CSV.
+var fig11Metrics = [...]string{"utilization", "realloc", "fairness", "failrate"}
 
 func runFig12(cfg RunConfig) (*Result, error) {
 	n := 100

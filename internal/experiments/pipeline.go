@@ -14,9 +14,9 @@ import (
 )
 
 // This file is the packet-path throughput harness behind `activebench
-// -lanes N`: it measures raw capsule executions per second — interpreter
-// baseline, specialized (compiled-plan) path, batched specialized path, and
-// the multi-lane dataplane — on a multi-tenant cache workload. Unlike the
+// -lanes N`: it measures raw capsule executions per second — the
+// single-capsule path the switch runs, its batched form, and the multi-lane
+// dataplane — on a multi-tenant cache workload. Unlike the
 // figure experiments it measures wall-clock, not virtual time, so it is not
 // in the Registry; the result goes to BENCH_pipeline.json for regression
 // tracking (see `make benchdiff`).
@@ -52,24 +52,25 @@ type LaneRate struct {
 	Seconds float64 `json:"seconds"`
 	PPS     float64 `json:"pps"`
 	Speedup float64 `json:"speedup_vs_single"`
+
+	// AllocsPerOp is the heap allocations per packet (or per GET round
+	// trip) over the measured window; recorded by the fabric series.
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
 // PipelineBench is the harness result, serialized to BENCH_pipeline.json.
-// Single is the interpreter baseline (specialization forced off);
-// Specialized re-runs the same single-threaded loop with compiled-plan
-// execution on, and Batch runs the specialized path through ExecuteBatch.
-// SingleTelemetry repeats the interpreter measurement with the full
-// telemetry registry attached (counters, latency histogram, lane flight
-// recorder); TelemetryDelta is its overhead relative to Single — the
-// regression gate requires it to stay within 10%, and the specialized and
-// batch speedups to stay at or above 1.5x.
+// Single is the single-threaded ExecuteCapsule loop (the path the switch
+// runs; every capsule executes its compiled plan), and Batch runs the same
+// loop through ExecuteBatch. SingleTelemetry repeats the Single measurement
+// with the full telemetry registry attached (counters, latency histogram,
+// flight recorder); TelemetryDelta is its overhead relative to Single — the
+// regression gate requires it to stay within 10%.
 type PipelineBench struct {
 	Tenants         int        `json:"tenants"`
 	Ring            int        `json:"ring_per_tenant"`
 	GoMaxProcs      int        `json:"gomaxprocs"`
 	NumCPU          int        `json:"numcpu"`
 	Single          LaneRate   `json:"single"`
-	Specialized     LaneRate   `json:"specialized"`
 	Batch           LaneRate   `json:"batch"`
 	SingleTelemetry LaneRate   `json:"single_telemetry"`
 	TelemetryDelta  float64    `json:"telemetry_delta_pct"`
@@ -80,11 +81,11 @@ type PipelineBench struct {
 	Multicore *MulticoreBench `json:"multicore,omitempty"`
 
 	// Fabric is the leaf-spine end-to-end series (RunFabricBench): GET
-	// round trips per wall second through a 2x1 fabric. Its Speedup field
-	// is the ratio to Single — well below 1 by construction (a round trip
-	// simulates every hop), but stable on a given build, so the gate can
-	// catch relay-path regressions ratio-wise. Zero when the series was
-	// skipped (pre-fabric baselines).
+	// round trips per wall second through a 2x1 fabric, with the heap
+	// allocations per GET. Its Speedup field is the ratio to Single — well
+	// below 1 by construction (a round trip simulates every hop), but stable
+	// on a given build, so the gate can catch relay-path regressions
+	// ratio-wise. Zero when the series was skipped (pre-fabric baselines).
 	Fabric LaneRate `json:"fabric,omitempty"`
 
 	// Defrag is the online-defragmentation series (RunDefragBench): a
@@ -230,12 +231,11 @@ func RunPipelineBench(cfg PipelineBenchConfig) (*PipelineBench, error) {
 		NumCPU:     gort.NumCPU(),
 	}
 
-	// Single-threaded fast path: one ExecResult, one sink, no dispatch.
-	// Measured four ways — interpreter (specialization forced off, the
-	// baseline all speedups are relative to), interpreter with the telemetry
-	// registry attached (so the instrumentation overhead is a first-class
-	// number), specialized, and specialized+batched.
-	singleRun := func(withTelemetry, specialize, batched bool) (LaneRate, error) {
+	// Single-threaded path: one ExecResult, one sink, no dispatch. Measured
+	// three ways — per capsule (the baseline all speedups are relative to),
+	// per capsule with the telemetry registry attached (so the
+	// instrumentation overhead is a first-class number), and batched.
+	singleRun := func(withTelemetry, batched bool) (LaneRate, error) {
 		sys, ring, err := buildPipelineWorkload(cfg)
 		if err != nil {
 			return LaneRate{}, err
@@ -247,7 +247,6 @@ func RunPipelineBench(cfg PipelineBenchConfig) (*PipelineBench, error) {
 			}
 			sys.RT.AttachTelemetry(reg)
 		}
-		sys.RT.SetSpecialization(specialize)
 		er := art.NewExecResult()
 		sink := sys.RT.NewExecSink()
 		run := func(n int) {
@@ -283,19 +282,15 @@ func RunPipelineBench(cfg PipelineBenchConfig) (*PipelineBench, error) {
 		}, nil
 	}
 	var err error
-	if res.Single, err = singleRun(false, false, false); err != nil {
+	if res.Single, err = singleRun(false, false); err != nil {
 		return nil, err
 	}
-	if res.Specialized, err = singleRun(false, true, false); err != nil {
+	if res.Batch, err = singleRun(false, true); err != nil {
 		return nil, err
 	}
-	if res.Batch, err = singleRun(false, true, true); err != nil {
+	if res.SingleTelemetry, err = singleRun(true, false); err != nil {
 		return nil, err
 	}
-	if res.SingleTelemetry, err = singleRun(true, false, false); err != nil {
-		return nil, err
-	}
-	res.Specialized.Speedup = res.Specialized.PPS / res.Single.PPS
 	res.Batch.Speedup = res.Batch.PPS / res.Single.PPS
 	res.SingleTelemetry.Speedup = res.SingleTelemetry.PPS / res.Single.PPS
 	res.TelemetryDelta = (res.Single.PPS/res.SingleTelemetry.PPS - 1) * 100

@@ -1,6 +1,8 @@
 package fabric_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -138,5 +140,95 @@ func TestCoherenceWriteFromRemoteLeaf(t *testing.T) {
 	runUntil(t, f, time.Second, "read after remote write", func() bool { return last.seq == seq })
 	if last.value != v2 {
 		t.Fatalf("leaf0 read %d after remote write, want %d", last.value, v2)
+	}
+}
+
+// TestHomeEvictionSparesNeighbourBuckets pins the home eviction to one
+// bucket. A bucket's key halves and value live at addr, addr+1 and addr+2
+// in the FID's first, second and third access stages, so buckets overlap
+// word ranges. A write from the server's leaf bypasses the home spine and
+// evicts the written key's bucket there: a later read of that key must not
+// hit the home's old value, and a key two buckets below — whose value word
+// sits at the evicted address in the third stage — must keep its value.
+func TestHomeEvictionSparesNeighbourBuckets(t *testing.T) {
+	f, err := fabric.New(fabric.DefaultConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fabric.NewController(f)
+	srv, srvIP := addServer(t, f, 1)
+	cc, err := fabric.NewCoherentCache(fc, 9, []int{0, 1}, srv.MAC(), srvIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Client-side bucket addressing, as the cache computes it.
+	lo, buckets := cc.Set().Placement.Accesses[0].Range.Lo, uint32(cc.Capacity())
+	bucket := func(k0, k1 uint32) uint32 {
+		var b [8]byte
+		binary.BigEndian.PutUint32(b[:4], k0)
+		binary.BigEndian.PutUint32(b[4:], k1)
+		h := fnv.New32a()
+		h.Write(b[:])
+		return lo + h.Sum32()%buckets
+	}
+	const a0, a1, b1 = 0x1, 0x1, 0x7
+	target := bucket(a0, a1) - 2
+	b0 := uint32(1)
+	for ; bucket(b0, b1) != target; b0++ {
+		if b0 > 1<<22 {
+			t.Fatal("no key two buckets below the written key")
+		}
+	}
+	const vAOld, vA, vB = 110, 111, 222
+	srv.Store[apps.KeyOf(a0, a1)] = vAOld
+	srv.Store[apps.KeyOf(b0, b1)] = vB
+
+	// Warm A and B from leaf 0: installed at leaf 0, the home spine, and
+	// leaf 1.
+	if err := cc.Warm(0, []apps.KVMsg{{Key0: a0, Key1: a1, Value: vAOld}, {Key0: b0, Key1: b1, Value: vB}}); err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(50 * time.Millisecond)
+
+	// Write A from the server's leaf: the commit never crosses the home,
+	// so the home evicts A's bucket.
+	evictions := cc.HomeEvictions
+	if _, err := cc.Put(1, a0, a1, vA); err != nil {
+		t.Fatal(err)
+	}
+	runUntil(t, f, time.Second, "write ack", func() bool { return cc.WriteAcks >= 1 })
+	if cc.HomeEvictions != evictions+1 {
+		t.Fatalf("home evictions = %d, want %d", cc.HomeEvictions, evictions+1)
+	}
+
+	// Drop leaf 0's replica so GETs miss there and reach the home spine.
+	if _, ok := f.Leaves[0].Ctrl.ScrubFID(cc.Set().FID); !ok {
+		t.Fatal("leaf 0 scrub did not run")
+	}
+	var got struct {
+		seq, value uint32
+		hit, done  bool
+	}
+	cc.OnResponse = func(leaf int, seq, value uint32, hit bool) {
+		got.seq, got.value, got.hit, got.done = seq, value, hit, true
+	}
+	get := func(k0, k1 uint32) (uint32, bool) {
+		t.Helper()
+		got.done = false
+		seq, err := cc.Get(0, k0, k1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runUntil(t, f, time.Second, "GET answered", func() bool { return got.done && got.seq == seq })
+		return got.value, got.hit
+	}
+	if v, hit := get(b0, b1); v != vB || !hit {
+		t.Fatalf("GET of the neighbouring key = (%d, hit=%v), want a home hit of %d", v, hit, vB)
+	}
+	// A's read misses the evicted home and is answered by leaf 1's replica
+	// (the commit installed it there) or the server: never the old value.
+	if v, hit := get(a0, a1); v != vA {
+		t.Fatalf("GET of the written key = (%d, hit=%v), want %d", v, hit, vA)
 	}
 }

@@ -16,13 +16,13 @@ import (
 // program length, CRC32 of the raw program bytes) — the same epoch that
 // authenticates grants drives invalidation, so a reallocation that bumps a
 // tenant's epoch automatically orphans every stale cache entry. The cached
-// isa.Program is immutable and shared: the execution path copies its
-// instructions into the PHV and never writes through the pointer.
+// isa.Program is immutable and shared: the execution path compiles a plan
+// from its instructions and never writes through the pointer.
 //
 // Canonical-pointer contract: for as long as a version stays cached, every
 // decode of the same (FID, epoch, len, CRC32) returns the SAME *isa.Program
 // pointer. Downstream layers may therefore use the pointer as the version's
-// identity — the runtime's specialization layer keys compiled plans by it
+// identity — the runtime's plan layer keys compiled plans by it
 // (see internal/runtime/specialize.go), which is what lets a plan lookup be
 // one map probe instead of a re-hash of the program bytes. Eviction (cache
 // flush or Invalidate) only breaks the mapping for *future* decodes: a new

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync/atomic"
-	"time"
 
 	"activermt/internal/isa"
 )
@@ -19,10 +18,10 @@ type Translate struct {
 	Offset uint32
 }
 
-// Stage is one physical match-action stage: instruction decoding is modeled
-// by the device-wide action table (the paper's runtime installs the full
-// instruction set in every stage), while the stage owns its register array,
-// its protection TCAM, and its translation entries.
+// Stage is one physical match-action stage: instruction semantics are
+// device-wide (the paper's runtime installs the full instruction set in
+// every stage, and a compiled Plan carries them), while the stage owns its
+// register array, its protection TCAM, and its translation entries.
 //
 // The TCAM and translation map are control-plane builder state: the packet
 // path never reads them directly, only the immutable StageView published
@@ -66,26 +65,6 @@ func (s *Stage) TranslateEntries() map[uint16]Translate {
 	return out
 }
 
-// Action implements one instruction. Actions are installed by the runtime
-// package (the P4-program analogue); the device only sequences them.
-type Action func(ctx *Ctx, in isa.Instruction)
-
-// Ctx is the execution context passed to actions: the device, the physical
-// stage the instruction runs in, the packet's PHV, the published stage view
-// (protection + translation), and the counter sink. Actions must consult
-// View — not the stage's TCAM or translation map — and count through Stats,
-// so that execution reads only immutable snapshots and lanes never race on
-// counters. Ctx values are scratch space owned by the PHV; they are reused
-// across instructions and must not be retained by actions.
-type Ctx struct {
-	Dev      *Device
-	Stage    *Stage
-	StageIdx int // physical stage index
-	PHV      *PHV
-	View     *StageView
-	Stats    *ExecStats
-}
-
 // TraceEvent describes one instruction slot as it executes (or is skipped
 // by branch predication), for the activeasm tracer and tests.
 type TraceEvent struct {
@@ -102,19 +81,14 @@ type TraceEvent struct {
 
 // Device is the simulated RMT switch pipeline.
 type Device struct {
-	cfg     Config
-	stages  []*Stage
-	actions [isa.NumOpcodes]Action
-	trace   func(TraceEvent)
+	cfg    Config
+	stages []*Stage
+	trace  func(TraceEvent)
 
 	// view is the published pipeline snapshot the packet path executes
 	// against; viewGen numbers publications.
 	view    atomic.Pointer[PipeView]
 	viewGen atomic.Uint64
-
-	// stats is the counter sink for the single-threaded compat path
-	// (Exec); it is flushed into the legacy fields after every packet.
-	stats *ExecStats
 
 	// tel, when attached, receives the flushed counters and the latency
 	// histogram (see telemetry.go); nil keeps the device telemetry-free.
@@ -141,7 +115,6 @@ func New(cfg Config) (*Device, error) {
 			xlate:     make(map[uint16]Translate),
 		}
 	}
-	d.stats = NewExecStats(cfg.NumStages)
 	d.RebuildView()
 	return d, nil
 }
@@ -162,30 +135,28 @@ func (d *Device) Stage(i int) *Stage { return d.stages[i] }
 // recirculation) to its physical stage index.
 func (d *Device) PhysicalStage(logical int) int { return logical % d.cfg.NumStages }
 
-// SetAction installs the action implementing op in every stage ("the full
-// set of instructions is available in each stage", Section 3.1).
-func (d *Device) SetAction(op isa.Opcode, fn Action) { d.actions[op] = fn }
-
 // SetTrace installs a per-instruction trace hook (nil disables tracing).
+// ExecPlan reports every instruction slot it traverses to the hook.
 func (d *Device) SetTrace(fn func(TraceEvent)) { d.trace = fn }
 
-// Hash is the stage-local hash unit. A zero selector picks the stage-seeded
-// function, so consecutive HASH instructions (as in the count-min sketch of
-// Appendix B.1) compute independent functions; a nonzero selector picks a
-// fixed function usable consistently from any stage (as the Cheetah cookie
-// needs) — mirroring the Tofino's multiple selectable hash units.
-func (d *Device) Hash(stageIdx int, selector uint8, words [NumHashWords]uint32) uint32 {
+// hashSeed selects the stage-local hash unit a HASH instruction uses. A
+// zero selector picks the stage-seeded function, so consecutive HASH
+// instructions (as in the count-min sketch of Appendix B.1) compute
+// independent functions; a nonzero selector picks a fixed function usable
+// consistently from any stage (as the Cheetah cookie needs) — mirroring the
+// Tofino's multiple selectable hash units.
+func hashSeed(stageIdx int, selector uint8) uint32 {
 	if selector != 0 {
-		return FixedHash(uint32(selector), words)
+		return uint32(selector)
 	}
-	return StageHash(stageIdx, words)
+	return uint32(stageIdx)*0x9E3779B9 + 1
 }
 
 // StageHash is the deterministic per-stage hash function; clients replicate
 // it for client-side address computation (Section 3.2's client-side
 // translation).
 func StageHash(stageIdx int, words [NumHashWords]uint32) uint32 {
-	return FixedHash(uint32(stageIdx)*0x9E3779B9+1, words)
+	return FixedHash(hashSeed(stageIdx, 0), words)
 }
 
 // FixedHash is the stage-independent seeded hash.
@@ -196,138 +167,4 @@ func FixedHash(seed uint32, words [NumHashWords]uint32) uint32 {
 		binary.BigEndian.PutUint32(buf[4+4*i:], w)
 	}
 	return crc32.ChecksumIEEE(buf[:])
-}
-
-// Exec runs the PHV's program through the pipeline and returns all output
-// packets: the primary PHV first, followed by any FORK clones. Dropped
-// packets are still returned (with Dropped set) so callers can account for
-// them. Latency, pass counts, and Executed flags are filled in on return.
-//
-// Exec is the single-threaded compatibility entry point: it counts into the
-// device's private sink and flushes it into the legacy counter fields
-// before returning, so counter reads between packets match the pre-split
-// implementation exactly. Concurrent callers must use ExecInto with
-// per-lane sinks instead.
-//
-// Latency is modeled at stage granularity — PassLatency/NumStages per stage
-// slot traversed — which reproduces the linear growth of Figure 8b; an RTS
-// executed at egress charges one extra full pass (the recirculation needed
-// to change ports, Section 3.1).
-func (d *Device) Exec(p *PHV) []*PHV {
-	outs := d.ExecInto(p, make([]*PHV, 0, 1), d.stats)
-	d.stats.FlushInto(d)
-	return outs
-}
-
-// ExecInto is the allocation-free execution entry point: it appends the
-// primary PHV and any FORK clones to outs (reusing its backing array) and
-// counts into the caller-owned sink st. The pipeline view is loaded once at
-// entry, so the whole packet executes against one published snapshot.
-func (d *Device) ExecInto(p *PHV, outs []*PHV, st *ExecStats) []*PHV {
-	st.ensure(d.cfg.NumStages)
-	st.PacketsIn++
-	return d.run(p, 0, 0, d.view.Load(), st, outs)
-}
-
-// run executes from logical instruction index startIdx with extraSlots
-// stage slots already charged (clone recirculation). Clone outputs are
-// appended recursively.
-func (d *Device) run(p *PHV, startIdx, extraSlots int, view *PipeView, st *ExecStats, outs []*PHV) []*PHV {
-	n := d.cfg.NumStages
-	maxSlots := d.cfg.MaxPasses * n
-	outs = append(outs, p)
-
-	idx := startIdx
-	for !p.Complete && !p.Dropped {
-		if idx >= len(p.Instrs) {
-			p.Complete = true
-			break
-		}
-		if idx >= maxSlots {
-			// Recirculation limit: the switch polices bandwidth
-			// inflation by dropping runaway programs.
-			p.Dropped = true
-			break
-		}
-		s := idx % n
-		in := p.Instrs[idx]
-		p.Instrs[idx].Executed = true // header consumed at this stage
-		skipped := false
-		if p.DisabledUntil != 0 {
-			// Skipping an untaken branch arm; resume at the label.
-			if in.Label == p.DisabledUntil {
-				p.DisabledUntil = 0
-				outs = d.execute(s, p, in, idx, outs, view, st)
-			} else {
-				skipped = true
-			}
-		} else {
-			outs = d.execute(s, p, in, idx, outs, view, st)
-		}
-		if d.trace != nil {
-			d.trace(TraceEvent{Logical: idx, Stage: s, In: in, Skipped: skipped,
-				MAR: p.MAR, MBR: p.MBR, MBR2: p.MBR2, Complete: p.Complete, Dropped: p.Dropped})
-		}
-		idx++
-		if idx%n == 0 && idx < len(p.Instrs) && idx < maxSlots && !p.Complete && !p.Dropped {
-			st.Recirculations++
-		}
-	}
-
-	slots := idx
-	if slots < 1 {
-		slots = 1 // even an empty program traverses at least one stage
-	}
-	if p.rtsAtEgress && !p.Dropped {
-		// Ports cannot change at egress: one extra pass to apply RTS.
-		slots += n
-		st.Recirculations++
-	}
-	slots += extraSlots
-	p.StagesRun = slots
-	p.Passes = (slots + n - 1) / n
-	p.Latency = time.Duration(int64(slots) * d.cfg.PassLatency.Nanoseconds() / int64(n))
-	st.Lat.Observe(uint64(p.Latency))
-	if p.Dropped {
-		st.PacketsDropped++
-	}
-	return outs
-}
-
-// execute dispatches one instruction to its installed action and handles a
-// resulting FORK. The action context is the PHV's scratch Ctx, refilled per
-// instruction — no per-instruction allocation.
-func (d *Device) execute(stageIdx int, p *PHV, in isa.Instruction, idx int, outs []*PHV, view *PipeView, st *ExecStats) []*PHV {
-	fn := d.actions[in.Op]
-	if fn == nil {
-		// Uninstalled opcode: table miss, no action.
-		return outs
-	}
-	st.StageExecuted[stageIdx]++
-	ctx := &p.ctx
-	ctx.Dev = d
-	ctx.Stage = d.stages[stageIdx]
-	ctx.StageIdx = stageIdx
-	ctx.PHV = p
-	ctx.View = view.StageView(stageIdx)
-	ctx.Stats = st
-	fn(ctx, in)
-	if p.forkRequested {
-		p.forkRequested = false
-		c := p.Clone()
-		if p.forkDstValid {
-			// Mirror session: the clone is steered to the session's
-			// egress port (Tofino clone sessions are control-plane
-			// state selected by the FORK operand).
-			c.DstSet, c.Dst = true, p.forkDst
-			p.forkDstValid = false
-			c.forkDstValid = false
-		}
-		// The clone resumes at the next logical stage after a
-		// recirculation (Section 3.1: instructions that clone packets
-		// require recirculation), charged as one extra pass.
-		st.Recirculations++
-		outs = d.run(c, idx+1, d.cfg.NumStages, view, st, outs)
-	}
-	return outs
 }

@@ -1,10 +1,6 @@
 package rmt
 
-import (
-	"time"
-
-	"activermt/internal/isa"
-)
+import "time"
 
 // NumHashWords is the size of the PHV's hash-metadata field group.
 const NumHashWords = 4
@@ -28,12 +24,6 @@ type PHV struct {
 	// TupleWords is the packet's flattened transport 5-tuple, the source
 	// for the COPY_HASHDATA_5TUPLE instruction.
 	TupleWords [NumHashWords]uint32
-
-	// Instrs is the parsed program; instruction i executes at logical
-	// stage i (recirculating every NumStages instructions). Executed
-	// flags are set as stages are traversed so the deparser can shrink
-	// the packet.
-	Instrs []isa.Instruction
 
 	// Control flags (Section 3.1).
 	Complete      bool  // RETURN executed (or program exhausted)
@@ -59,41 +49,11 @@ type PHV struct {
 	StagesRun int           // total stage slots traversed
 	Latency   time.Duration // modeled forwarding latency
 
-	// Internal execution signals set by actions, consumed by the device.
-	forkRequested bool
-	forkDstValid  bool
-	forkDst       uint32
-	rtsAtEgress   bool
-
-	// ctx is the scratch action context reused across instructions, so
-	// dispatching an action never heap-allocates (see Device.execute).
-	ctx Ctx
+	// rtsAtEgress records that RTS or SET_DST executed in the egress
+	// pipeline, which costs a recirculation to change ports.
+	rtsAtEgress bool
 }
 
-// Reset returns the PHV to its zero state while keeping the capacity of its
-// Instrs slice, so pooled PHVs carry no state between packets but also
-// allocate nothing on reuse.
-func (p *PHV) Reset() {
-	instrs := p.Instrs[:0]
-	*p = PHV{Instrs: instrs}
-}
-
-// RequestFork asks the device to clone the packet after the current
-// instruction (the FORK action).
-func (p *PHV) RequestFork() { p.forkRequested = true }
-
-// SetForkDst steers the requested clone to a mirror-session egress port.
-func (p *PHV) SetForkDst(port uint32) { p.forkDstValid, p.forkDst = true, port }
-
-// MarkRTSAtEgress records that RTS executed in the egress pipeline, which
-// costs a recirculation to change ports.
-func (p *PHV) MarkRTSAtEgress() { p.rtsAtEgress = true }
-
-// Clone deep-copies the PHV (for FORK).
-func (p *PHV) Clone() *PHV {
-	q := *p
-	q.Instrs = make([]isa.Instruction, len(p.Instrs))
-	copy(q.Instrs, p.Instrs)
-	q.IsClone = true
-	return &q
-}
+// Reset returns the PHV to its zero state, so pooled PHVs carry no state
+// between packets.
+func (p *PHV) Reset() { *p = PHV{} }

@@ -6,28 +6,24 @@ import (
 	"activermt/internal/isa"
 )
 
-// This file implements specialized capsule execution: a program admitted by
+// This file is the pipeline's only execution engine: a program admitted by
 // the decoded-program cache is compiled once — against one immutable
-// PipeView — into a flattened straight-line plan of resolved operations, so
-// the per-packet loop no longer pays for stage dispatch through action
-// closures, per-instruction Ctx refills, or map lookups for protection and
-// translation state. Everything the interpreter resolves per packet from
+// PipeView — into a flattened straight-line plan of resolved operations, and
+// every packet runs through that plan. Everything that depends on
 // control-plane state (physical stage, register array, grant bounds,
-// translation mask/offset, hash seed, ingress/egress position, NOP padding)
-// is folded in at compile time; only the data-dependent work — register ALU
-// ops, hashes, branch predication, recirculation accounting — runs per
-// packet.
+// translation mask/offset, hash seed, ingress/egress position, mirror-session
+// port) is folded in at compile time; only the data-dependent work — register
+// ALU ops, hashes, branch predication, FORK clones, recirculation accounting
+// — runs per packet. execPlanOp is the single definition of each opcode's
+// semantics.
 //
 // A Plan is immutable after CompilePlan returns and is only valid for the
-// exact PipeView it was compiled against: the owner (the runtime's plan
-// table) keys plans by snapshot identity and discards them wholesale when a
-// control-plane commit publishes a new view, so a stale plan is unreachable
-// by construction. The interpreter (Device.run) remains the always-correct
-// fallback; ExecPlan reproduces its observable semantics bit for bit —
-// identical Executed marking, branch skipping, recirculation counts, latency
-// model, fault attribution, and per-stage counters.
+// exact PipeView (and control state) it was compiled against: the owner (the
+// runtime's plan table) keys plans by snapshot identity and discards them
+// wholesale when a control-plane commit publishes a new view, so a stale
+// plan is unreachable by construction.
 
-// planKind discriminates the three dispatch shapes of a compiled slot.
+// planKind discriminates the dispatch shapes of a compiled slot.
 type planKind uint8
 
 const (
@@ -35,10 +31,13 @@ const (
 	pkOp planKind = iota
 	// pkCount counts StageExecuted and does nothing else: NOP slots and
 	// translation ops whose FID has no entry in the slot's stage (the
-	// interpreter's action runs and finds no entry; the count still lands).
+	// instruction runs and finds no entry; the count still lands).
 	pkCount
-	// pkMiss is an uninstalled opcode (EOF in a malformed body): the
-	// interpreter's action table misses, so neither count nor effect.
+	// pkFork counts StageExecuted and clones the packet (FORK).
+	pkFork
+	// pkMiss is an opcode with no installed action (EOF in a malformed
+	// body, or an undefined opcode): a table miss, neither count nor
+	// effect.
 	pkMiss
 )
 
@@ -49,58 +48,43 @@ type planOp struct {
 	operand uint8 // folded operand (already reduced mod its field width)
 	label   uint8 // branch-target label carried by this slot
 	egress  bool  // physical stage is in the egress pipeline
+	mirror  bool  // FORK: the clone is steered to port imm
 	stage   uint16
-	inc     uint32 // MEM_INCREMENT delta, max(operand,1) folded
-	seed    uint32 // HASH seed (selector or stage seed) folded
-	lo, hi  uint32 // memory ops: folded protection ∩ array bounds; empty ⇒ always fault
-	mask    uint32 // ADDR_MASK folded translation mask
-	off     uint32 // ADDR_OFFSET folded translation offset
-	regs    *RegisterArray
-	view    *StageView // fault-attribution lookup (rare path only)
+	// imm is the folded immediate of the ops that take one: the
+	// MEM_INCREMENT delta (max(operand,1)), the HASH seed (selector or stage
+	// seed), the ADDR_MASK mask, the ADDR_OFFSET offset, or the FORK mirror
+	// port.
+	imm    uint32
+	lo, hi uint32 // memory ops: folded protection ∩ array bounds; empty ⇒ always fault
+	regs   *RegisterArray
+	view   *StageView // fault-attribution lookup (rare path only)
 }
 
 // Plan is a compiled straight-line execution plan for one (FID, program
 // version) under one published PipeView. Immutable after compilation.
 type Plan struct {
-	fid       uint16
 	ops       []planOp
+	instrs    []isa.Instruction // the compiled image, for trace events
 	numStages int
 	maxSlots  int
 	passLatNs int64
 }
 
-// Len returns the number of instruction slots in the plan.
-func (pl *Plan) Len() int { return len(pl.ops) }
-
-// FID returns the tenant the plan was compiled for.
-func (pl *Plan) FID() uint16 { return pl.fid }
-
-// TraceEnabled reports whether a per-instruction trace hook is installed.
-// Specialized execution does not emit trace events, so callers must fall
-// back to the interpreter while tracing.
-func (d *Device) TraceEnabled() bool { return d.trace != nil }
-
 // CompilePlan compiles instrs (already privilege-rewritten by the caller)
-// for fid against the given published pipeline view. It returns nil when the
-// program cannot be specialized — a FORK (clone recursion needs the
-// interpreter) or an opcode outside the defined set — in which case the
-// caller executes through the interpreter instead.
-func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeView) *Plan {
-	if view == nil {
-		return nil
-	}
+// for fid against the given published pipeline view. mirror resolves a
+// FORK operand naming a mirror session to the session's egress port (nil:
+// no sessions). The plan keeps a reference to instrs, which the caller must
+// not mutate afterwards.
+func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeView, mirror func(session uint8) (uint32, bool)) *Plan {
 	n := d.cfg.NumStages
 	pl := &Plan{
-		fid:       fid,
 		ops:       make([]planOp, len(instrs)),
+		instrs:    instrs,
 		numStages: n,
 		maxSlots:  d.cfg.MaxPasses * n,
 		passLatNs: d.cfg.PassLatency.Nanoseconds(),
 	}
 	for idx, in := range instrs {
-		if int(in.Op) >= isa.NumOpcodes || in.Op == isa.OpFork {
-			return nil
-		}
 		stage := idx % n
 		sv := view.StageView(stage)
 		o := &pl.ops[idx]
@@ -108,21 +92,16 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeVie
 		o.label = in.Label
 		o.stage = uint16(stage)
 		o.egress = stage >= d.cfg.NumIngress
-		if d.actions[in.Op] == nil {
-			o.kind = pkMiss
-			continue
-		}
 		o.kind = pkOp
 		switch in.Op {
-		case isa.OpNop, isa.OpHashdata5Tuple, isa.OpCopyMbr2Mbr, isa.OpCopyMbrMbr2,
+		case isa.OpNop:
+			o.kind = pkCount
+		case isa.OpHashdata5Tuple, isa.OpCopyMbr2Mbr, isa.OpCopyMbrMbr2,
 			isa.OpCopyMarMbr, isa.OpCopyMbrMar, isa.OpMbrAddMbr2, isa.OpMarAddMbr,
 			isa.OpMarAddMbr2, isa.OpMarMbrAddMbr2, isa.OpMbrSubMbr2, isa.OpBitAndMarMbr,
 			isa.OpBitOrMbrMbr2, isa.OpMbrEqualsMbr2, isa.OpMax, isa.OpMin, isa.OpRevMin,
 			isa.OpSwapMbrMbr2, isa.OpMbrNot, isa.OpReturn, isa.OpCRet, isa.OpCRetI,
 			isa.OpDrop, isa.OpRts, isa.OpCRts, isa.OpSetDst:
-			if in.Op == isa.OpNop {
-				o.kind = pkCount
-			}
 		case isa.OpMbrLoad, isa.OpMbrStore, isa.OpMbr2Load, isa.OpMarLoad, isa.OpMbrEqualsData:
 			o.operand = in.Operand % 4
 		case isa.OpCopyHashdataMbr, isa.OpCopyHashdataMbr2:
@@ -136,81 +115,135 @@ func (d *Device) CompilePlan(fid uint16, instrs []isa.Instruction, view *PipeVie
 			if reg, ok := sv.Region(fid); ok {
 				// The grant installer validated Hi-1 against the array, but a
 				// directly installed TCAM region may overhang it: clamp so the
-				// folded bounds compare equals Allowed() ∧ InRange() exactly.
+				// folded bounds compare equals "protected ∧ in range" exactly.
 				o.lo, o.hi = reg.Lo, reg.Hi
 				if max := uint32(st.Registers.Len()); o.hi > max {
 					o.hi = max
 				}
 			}
 			if in.Op == isa.OpMemIncrement {
-				o.inc = uint32(in.Operand)
-				if o.inc == 0 {
-					o.inc = 1
+				o.imm = uint32(in.Operand)
+				if o.imm == 0 {
+					o.imm = 1
 				}
 			}
 		case isa.OpAddrMask:
 			if t, ok := sv.Translate(fid); ok {
-				o.mask = t.Mask
+				o.imm = t.Mask
 			} else {
 				o.kind = pkCount
 			}
 		case isa.OpAddrOffset:
 			if t, ok := sv.Translate(fid); ok {
-				o.off = t.Offset
+				o.imm = t.Offset
 			} else {
 				o.kind = pkCount
 			}
 		case isa.OpHash:
-			if in.Operand != 0 {
-				o.seed = uint32(in.Operand)
-			} else {
-				o.seed = uint32(stage)*0x9E3779B9 + 1
+			o.imm = hashSeed(stage, in.Operand)
+		case isa.OpFork:
+			o.kind = pkFork
+			// A nonzero operand names a mirror session: the clone is
+			// steered to the session's egress port if one is installed
+			// (Tofino clone sessions are control-plane state).
+			if in.Operand != 0 && mirror != nil {
+				o.imm, o.mirror = mirror(in.Operand)
 			}
 		default:
-			// An opcode without a specialized lowering (none today; new
-			// opcodes land here until taught to the compiler): refuse, the
-			// interpreter handles it.
-			return nil
+			o.kind = pkMiss
 		}
 	}
 	return pl
 }
 
-// ExecPlan runs one packet through a compiled plan, mirroring Device.run's
-// observable semantics exactly: branch skipping, recirculation accounting at
-// pass boundaries, the stage-granularity latency model, and the egress-RTS
-// extra pass. p.Instrs is not consulted: the plan carries the instruction
-// image, and the returned exit index (the number of slots the header
-// traversed, before the ≥1 latency clamp) tells the caller which prefix of
-// the image the interpreter would have marked Executed — enough to rebuild
-// the output capsule without per-slot flag stores.
+// PlanOutputs collects the packets one ExecPlan call produced: the primary
+// PHV first, then the FORK clones in execution order. Exits[i] is the number
+// of instruction headers output i traversed — the executed prefix the
+// deparser strips. Clone PHVs are pooled in the value and reused across
+// calls, so steady-state execution allocates nothing.
+type PlanOutputs struct {
+	PHVs  []*PHV
+	Exits []int
+	spare []*PHV
+}
+
+// clone copies p into the pooled PHV of the next output slot.
+func (o *PlanOutputs) clone(p *PHV) *PHV {
+	i := len(o.PHVs) - 1
+	for len(o.spare) <= i {
+		o.spare = append(o.spare, &PHV{})
+	}
+	c := o.spare[i]
+	*c = *p
+	c.IsClone = true
+	return c
+}
+
+// ExecPlan runs one packet through a compiled plan: branch skipping,
+// recirculation accounting at pass boundaries, FORK clones, the trace hook,
+// and the latency model. The outputs (p first) are collected into out.
 //
-// Plans are compiled only for FORK-free programs, so execution produces
-// exactly one output: the PHV itself.
-func (d *Device) ExecPlan(pl *Plan, p *PHV, st *ExecStats) int {
+// Latency is modeled at stage granularity — PassLatency/NumStages per stage
+// slot traversed — which reproduces the linear growth of Figure 8b; an RTS
+// executed at egress charges one extra full pass (the recirculation needed
+// to change ports, Section 3.1).
+func (d *Device) ExecPlan(pl *Plan, p *PHV, st *ExecStats, out *PlanOutputs) {
 	st.ensure(d.cfg.NumStages)
 	st.PacketsIn++
+	out.PHVs = out.PHVs[:0]
+	out.Exits = out.Exits[:0]
+	d.runPlan(pl, p, 0, 0, st, out)
+}
+
+// runPlan executes p from slot start with extraSlots stage slots already
+// charged (a clone's recirculation) and appends it to out, followed by the
+// clones it forks (each run to completion before p resumes).
+func (d *Device) runPlan(pl *Plan, p *PHV, start, extraSlots int, st *ExecStats, out *PlanOutputs) {
+	slot := len(out.PHVs)
+	out.PHVs = append(out.PHVs, p)
+	out.Exits = append(out.Exits, 0)
 	n := pl.numStages
 	maxSlots := pl.maxSlots
 	nOps := len(pl.ops)
-	idx := 0
+	idx := start
 	for !p.Complete && !p.Dropped {
 		if idx >= nOps {
 			p.Complete = true
 			break
 		}
 		if idx >= maxSlots {
+			// Recirculation limit: the switch polices bandwidth inflation
+			// by dropping runaway programs.
 			p.Dropped = true
 			break
 		}
 		o := &pl.ops[idx]
+		skipped := false
 		if p.DisabledUntil != 0 {
+			// Skipping an untaken branch arm; resume at the label.
 			if o.label == p.DisabledUntil {
 				p.DisabledUntil = 0
-				execPlanOp(o, p, st)
+			} else {
+				skipped = true
 			}
-		} else {
+		}
+		if !skipped {
 			execPlanOp(o, p, st)
+			if o.kind == pkFork {
+				// The clone resumes at the next logical stage after a
+				// recirculation (Section 3.1: instructions that clone
+				// packets require recirculation), charged as one extra pass.
+				c := out.clone(p)
+				if o.mirror {
+					c.DstSet, c.Dst = true, o.imm
+				}
+				st.Recirculations++
+				d.runPlan(pl, c, idx+1, n, st, out)
+			}
+		}
+		if d.trace != nil {
+			d.trace(TraceEvent{Logical: idx, Stage: int(o.stage), In: pl.instrs[idx], Skipped: skipped,
+				MAR: p.MAR, MBR: p.MBR, MBR2: p.MBR2, Complete: p.Complete, Dropped: p.Dropped})
 		}
 		idx++
 		if idx%n == 0 && idx < nOps && idx < maxSlots && !p.Complete && !p.Dropped {
@@ -218,15 +251,17 @@ func (d *Device) ExecPlan(pl *Plan, p *PHV, st *ExecStats) int {
 		}
 	}
 
-	exit := idx
+	out.Exits[slot] = idx
 	slots := idx
 	if slots < 1 {
-		slots = 1
+		slots = 1 // even an empty program traverses at least one stage
 	}
 	if p.rtsAtEgress && !p.Dropped {
+		// Ports cannot change at egress: one extra pass to apply RTS.
 		slots += n
 		st.Recirculations++
 	}
+	slots += extraSlots
 	p.StagesRun = slots
 	p.Passes = (slots + n - 1) / n
 	p.Latency = time.Duration(int64(slots) * pl.passLatNs / int64(n))
@@ -234,17 +269,18 @@ func (d *Device) ExecPlan(pl *Plan, p *PHV, st *ExecStats) int {
 	if p.Dropped {
 		st.PacketsDropped++
 	}
-	return exit
 }
 
-// execPlanOp executes one resolved slot. The switch mirrors the action
-// closures in the runtime's instruction set, with every control-plane lookup
-// replaced by the fields folded at compile time.
+// execPlanOp executes one resolved slot: the single definition of the
+// instruction set's semantics, with every control-plane lookup replaced by
+// the fields folded at compile time. Memory accesses are protected: a MAR
+// outside the FID's region in this stage is a fault, and the packet is
+// dropped ("packets that fail execution are dropped", Section 4.3).
 func execPlanOp(o *planOp, p *PHV, st *ExecStats) {
 	switch o.kind {
 	case pkMiss:
 		return
-	case pkCount:
+	case pkCount, pkFork:
 		st.StageExecuted[o.stage]++
 		return
 	}
@@ -351,7 +387,7 @@ func execPlanOp(o *planOp, p *PHV, st *ExecStats) {
 			return
 		}
 		st.RegWrites[o.stage]++
-		p.MBR = o.regs.Add(addr, o.inc)
+		p.MBR = o.regs.Add(addr, o.imm)
 	case isa.OpMemMinRead:
 		addr := p.MAR
 		if addr < o.lo || addr >= o.hi {
@@ -394,16 +430,16 @@ func execPlanOp(o *planOp, p *PHV, st *ExecStats) {
 			}
 		}
 	case isa.OpAddrMask:
-		p.MAR &= o.mask
+		p.MAR &= o.imm
 	case isa.OpAddrOffset:
-		p.MAR += o.off
+		p.MAR += o.imm
 	case isa.OpHash:
-		p.MAR = FixedHash(o.seed, p.HashData)
+		p.MAR = FixedHash(o.imm, p.HashData)
 	}
 }
 
 // planFault applies the memory-protection fault semantics: drop, attribute,
-// count — identical to the interpreter's memAction wrapper.
+// count.
 func planFault(o *planOp, p *PHV, st *ExecStats, addr uint32) {
 	st.RegFaults[o.stage]++
 	p.Dropped = true

@@ -174,26 +174,19 @@ func testDevice(t *testing.T) *Device {
 	return d
 }
 
-// installTestActions wires a minimal interpreter sufficient for device
-// mechanics tests (the full interpreter lives in package runtime).
-func installTestActions(d *Device) {
-	d.SetAction(isa.OpNop, func(ctx *Ctx, in isa.Instruction) {})
-	d.SetAction(isa.OpReturn, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.Complete = true })
-	d.SetAction(isa.OpDrop, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.Dropped = true })
-	d.SetAction(isa.OpMbrLoad, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.MBR = ctx.PHV.Data[in.Operand] })
-	d.SetAction(isa.OpCJump, func(ctx *Ctx, in isa.Instruction) {
-		if ctx.PHV.MBR != 0 {
-			ctx.PHV.DisabledUntil = in.Operand
-		}
-	})
-	d.SetAction(isa.OpFork, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.RequestFork() })
-	d.SetAction(isa.OpRts, func(ctx *Ctx, in isa.Instruction) {
-		ctx.PHV.ToSender = true
-		if ctx.StageIdx >= ctx.Dev.NumIngress() {
-			ctx.PHV.MarkRTSAtEgress()
-		}
-	})
-	d.SetAction(isa.OpMbrNot, func(ctx *Ctx, in isa.Instruction) { ctx.PHV.MBR = ^ctx.PHV.MBR })
+// run compiles prog against the device's published view and executes one
+// packet through the plan, flushing the counters into the device's fields.
+func run(d *Device, p *PHV, prog []isa.Instruction) *PlanOutputs {
+	return runMirrored(d, p, prog, nil)
+}
+
+func runMirrored(d *Device, p *PHV, prog []isa.Instruction, mirror func(uint8) (uint32, bool)) *PlanOutputs {
+	pl := d.CompilePlan(p.FID, prog, d.View(), mirror)
+	st := NewExecStats(d.NumStages())
+	out := &PlanOutputs{}
+	d.ExecPlan(pl, p, st, out)
+	st.FlushInto(d)
+	return out
 }
 
 func nops(n int) []isa.Instruction {
@@ -206,13 +199,12 @@ func nops(n int) []isa.Instruction {
 
 func TestExecLatencyLinear(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	var prev time.Duration
 	for _, n := range []int{10, 20, 30, 40} {
-		p := &PHV{Instrs: append(nops(n-1), isa.Instruction{Op: isa.OpReturn})}
-		outs := d.Exec(p)
-		if len(outs) != 1 || !p.Complete || p.Dropped {
-			t.Fatalf("n=%d: outs=%d complete=%v dropped=%v", n, len(outs), p.Complete, p.Dropped)
+		p := &PHV{}
+		outs := run(d, p, append(nops(n-1), isa.Instruction{Op: isa.OpReturn}))
+		if len(outs.PHVs) != 1 || !p.Complete || p.Dropped {
+			t.Fatalf("n=%d: outs=%d complete=%v dropped=%v", n, len(outs.PHVs), p.Complete, p.Dropped)
 		}
 		if p.StagesRun != n {
 			t.Errorf("n=%d: StagesRun = %d", n, p.StagesRun)
@@ -223,8 +215,8 @@ func TestExecLatencyLinear(t *testing.T) {
 		prev = p.Latency
 	}
 	// 20 instructions = exactly one pass = PassLatency.
-	p := &PHV{Instrs: nops(20)}
-	d.Exec(p)
+	p := &PHV{}
+	run(d, p, nops(20))
 	if p.Latency != DefaultPassLatency {
 		t.Errorf("one-pass latency = %v, want %v", p.Latency, DefaultPassLatency)
 	}
@@ -235,9 +227,8 @@ func TestExecLatencyLinear(t *testing.T) {
 
 func TestExecRecirculation(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
-	p := &PHV{Instrs: nops(45)} // 3 passes
-	d.Exec(p)
+	p := &PHV{}
+	run(d, p, nops(45)) // 3 passes
 	if p.Passes != 3 {
 		t.Errorf("Passes = %d, want 3", p.Passes)
 	}
@@ -257,9 +248,8 @@ func TestExecRecirculationLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	installTestActions(d)
-	p := &PHV{Instrs: nops(100)} // needs 5 passes > 2 allowed
-	d.Exec(p)
+	p := &PHV{}
+	run(d, p, nops(100)) // needs 5 passes > 2 allowed
 	if !p.Dropped {
 		t.Fatal("runaway program not dropped")
 	}
@@ -273,10 +263,9 @@ func TestExecRecirculationLimit(t *testing.T) {
 
 func TestExecDropInstruction(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
-	p := &PHV{Instrs: append(nops(4), isa.Instruction{Op: isa.OpDrop})}
-	outs := d.Exec(p)
-	if !p.Dropped || len(outs) != 1 {
+	p := &PHV{}
+	outs := run(d, p, append(nops(4), isa.Instruction{Op: isa.OpDrop}))
+	if !p.Dropped || len(outs.PHVs) != 1 {
 		t.Fatal("DROP did not drop")
 	}
 	if p.StagesRun != 5 {
@@ -286,7 +275,6 @@ func TestExecDropInstruction(t *testing.T) {
 
 func TestExecBranchSkipsUntilLabel(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	// MBR=1 -> CJUMP taken -> the MBR_NOT in the skipped arm must not run;
 	// execution resumes at the labeled instruction.
 	prog := []isa.Instruction{
@@ -297,14 +285,14 @@ func TestExecBranchSkipsUntilLabel(t *testing.T) {
 		{Op: isa.OpMbrNot, Label: 1},    // L1: executes
 		{Op: isa.OpReturn},
 	}
-	p := &PHV{Data: [4]uint32{1}, Instrs: prog}
-	d.Exec(p)
+	p := &PHV{Data: [4]uint32{1}}
+	run(d, p, prog)
 	if p.MBR != ^uint32(1) {
 		t.Errorf("MBR = %#x, want %#x (exactly one NOT)", p.MBR, ^uint32(1))
 	}
 	// Branch not taken: all three NOTs run.
-	p2 := &PHV{Data: [4]uint32{0}, Instrs: append([]isa.Instruction(nil), prog...)}
-	d.Exec(p2)
+	p2 := &PHV{Data: [4]uint32{0}}
+	run(d, p2, prog)
 	if p2.MBR != ^uint32(0) { // three NOTs of 0 toggle thrice
 		t.Errorf("untaken branch: MBR = %#x, want %#x", p2.MBR, ^uint32(0))
 	}
@@ -312,15 +300,14 @@ func TestExecBranchSkipsUntilLabel(t *testing.T) {
 
 func TestExecBranchAcrossPasses(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	// Jump from pass 0 to a label in pass 1.
 	prog := append([]isa.Instruction{
 		{Op: isa.OpMbrLoad, Operand: 0}, // MBR <- 1
 		{Op: isa.OpCJump, Operand: 2},
 	}, nops(25)...)
 	prog = append(prog, isa.Instruction{Op: isa.OpMbrNot, Label: 2}, isa.Instruction{Op: isa.OpReturn})
-	p := &PHV{Data: [4]uint32{1}, Instrs: prog}
-	d.Exec(p)
+	p := &PHV{Data: [4]uint32{1}}
+	run(d, p, prog)
 	if !p.Complete || p.Dropped {
 		t.Fatal("cross-pass branch did not complete")
 	}
@@ -334,19 +321,18 @@ func TestExecBranchAcrossPasses(t *testing.T) {
 
 func TestExecFork(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	prog := []isa.Instruction{
 		{Op: isa.OpFork},
 		{Op: isa.OpMbrNot},
 		{Op: isa.OpReturn},
 	}
-	p := &PHV{Instrs: prog}
-	outs := d.Exec(p)
-	if len(outs) != 2 {
-		t.Fatalf("outputs = %d, want 2", len(outs))
+	p := &PHV{}
+	outs := run(d, p, prog)
+	if len(outs.PHVs) != 2 || outs.PHVs[0] != p {
+		t.Fatalf("outputs = %d, want the primary then one clone", len(outs.PHVs))
 	}
-	clone := outs[1]
-	if !clone.IsClone || clone.Dropped {
+	clone := outs.PHVs[1]
+	if !clone.IsClone || clone.Dropped || p.IsClone {
 		t.Error("clone flags wrong")
 	}
 	if clone.MBR != ^uint32(0) {
@@ -358,20 +344,26 @@ func TestExecFork(t *testing.T) {
 	if clone.Latency <= p.Latency {
 		t.Errorf("clone latency %v should exceed primary %v (recirculation)", clone.Latency, p.Latency)
 	}
+	// Both traverse all three headers; the clone pays one extra pass.
+	if outs.Exits[0] != 3 || outs.Exits[1] != 3 {
+		t.Errorf("exits = %v, want [3 3]", outs.Exits)
+	}
+	if clone.StagesRun != 3+20 || d.Recirculations != 1 {
+		t.Errorf("clone StagesRun = %d (want 23), recirculations = %d (want 1)", clone.StagesRun, d.Recirculations)
+	}
 }
 
 func TestExecRTSAtEgressCostsExtraPass(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	// RTS in ingress: no penalty.
-	pIn := &PHV{Instrs: append(nops(5), isa.Instruction{Op: isa.OpRts}, isa.Instruction{Op: isa.OpReturn})}
-	d.Exec(pIn)
+	pIn := &PHV{}
+	run(d, pIn, append(nops(5), isa.Instruction{Op: isa.OpRts}, isa.Instruction{Op: isa.OpReturn}))
 	if pIn.StagesRun != 7 {
 		t.Errorf("ingress RTS StagesRun = %d, want 7", pIn.StagesRun)
 	}
 	// RTS at egress (stage 15): one extra pass.
-	pEg := &PHV{Instrs: append(nops(15), isa.Instruction{Op: isa.OpRts}, isa.Instruction{Op: isa.OpReturn})}
-	d.Exec(pEg)
+	pEg := &PHV{}
+	run(d, pEg, append(nops(15), isa.Instruction{Op: isa.OpRts}, isa.Instruction{Op: isa.OpReturn}))
 	if pEg.StagesRun != 17+20 {
 		t.Errorf("egress RTS StagesRun = %d, want %d", pEg.StagesRun, 37)
 	}
@@ -382,10 +374,9 @@ func TestExecRTSAtEgressCostsExtraPass(t *testing.T) {
 
 func TestExecEmptyProgram(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	p := &PHV{}
-	outs := d.Exec(p)
-	if len(outs) != 1 || !p.Complete {
+	outs := run(d, p, nil)
+	if len(outs.PHVs) != 1 || !p.Complete {
 		t.Fatal("empty program mishandled")
 	}
 	if p.StagesRun != 1 || p.Passes != 1 {
@@ -395,26 +386,27 @@ func TestExecEmptyProgram(t *testing.T) {
 
 func TestExecMarksExecutedFlags(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
-	p := &PHV{Instrs: append(nops(3), isa.Instruction{Op: isa.OpReturn}, isa.Instruction{Op: isa.OpNop})}
-	d.Exec(p)
-	for i := 0; i < 4; i++ {
-		if !p.Instrs[i].Executed {
-			t.Errorf("instr %d not marked executed", i)
-		}
-	}
-	if p.Instrs[4].Executed {
-		t.Error("post-RETURN instruction marked executed")
+	p := &PHV{}
+	outs := run(d, p, append(nops(3), isa.Instruction{Op: isa.OpReturn}, isa.Instruction{Op: isa.OpNop}))
+	// The first four headers (through RETURN) are traversed; the
+	// post-RETURN header is not.
+	if outs.Exits[0] != 4 {
+		t.Errorf("executed prefix = %d headers, want 4", outs.Exits[0])
 	}
 }
 
 func TestExecUninstalledOpcodeIsNoop(t *testing.T) {
 	d := testDevice(t)
-	// No actions installed at all.
-	p := &PHV{Instrs: nops(5)}
-	d.Exec(p)
+	// EOF has no action: a table miss with neither effect nor count.
+	p := &PHV{}
+	run(d, p, []isa.Instruction{{Op: isa.OpEOF}, {Op: isa.OpEOF}, {Op: isa.OpEOF}})
 	if !p.Complete || p.Dropped {
 		t.Error("uninstalled opcodes should pass through")
+	}
+	for s := 0; s < 3; s++ {
+		if d.Stage(s).Executed != 0 {
+			t.Errorf("stage %d counted %d executions of a missing action", s, d.Stage(s).Executed)
+		}
 	}
 }
 
@@ -436,22 +428,28 @@ func TestNewRejectsBadConfig(t *testing.T) {
 func TestHashStageIndependence(t *testing.T) {
 	d := testDevice(t)
 	words := [NumHashWords]uint32{1, 2, 3, 4}
-	h0 := d.Hash(0, 0, words)
-	h1 := d.Hash(1, 0, words)
+	// hashAt runs one HASH with selector sel in physical stage s.
+	hashAt := func(s int, sel uint8) uint32 {
+		p := &PHV{HashData: words}
+		run(d, p, append(nops(s), isa.Instruction{Op: isa.OpHash, Operand: sel}))
+		return p.MAR
+	}
+	h0 := hashAt(0, 0)
+	h1 := hashAt(1, 0)
 	if h0 == h1 {
 		t.Error("hash units in different stages should be independent")
 	}
-	if d.Hash(0, 0, words) != h0 {
+	if hashAt(0, 0) != h0 {
 		t.Error("hash not deterministic")
 	}
 	// A nonzero selector picks a stage-independent fixed function.
-	if d.Hash(0, 1, words) != d.Hash(5, 1, words) {
+	if hashAt(0, 1) != hashAt(5, 1) {
 		t.Error("fixed hash unit varies by stage")
 	}
-	if d.Hash(0, 1, words) != FixedHash(1, words) {
+	if hashAt(0, 1) != FixedHash(1, words) {
 		t.Error("fixed hash mismatch")
 	}
-	if StageHash(3, words) != d.Hash(3, 0, words) {
+	if StageHash(3, words) != hashAt(3, 0) {
 		t.Error("StageHash mismatch")
 	}
 }
@@ -484,7 +482,6 @@ func TestPhysicalStage(t *testing.T) {
 
 func TestTraceHook(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
 	var evs []TraceEvent
 	d.SetTrace(func(ev TraceEvent) { evs = append(evs, ev) })
 	prog := []isa.Instruction{
@@ -494,7 +491,7 @@ func TestTraceHook(t *testing.T) {
 		{Op: isa.OpMbrNot, Label: 1},    // resumes
 		{Op: isa.OpReturn},
 	}
-	d.Exec(&PHV{Data: [4]uint32{1}, Instrs: prog})
+	run(d, &PHV{Data: [4]uint32{1}}, prog)
 	if len(evs) != 5 {
 		t.Fatalf("events = %d, want 5", len(evs))
 	}
@@ -510,29 +507,36 @@ func TestTraceHook(t *testing.T) {
 	if evs[0].MBR != 1 {
 		t.Errorf("trace MBR = %d", evs[0].MBR)
 	}
+	if evs[3].Stage != 3 || evs[3].Logical != 3 || evs[3].In != prog[3] {
+		t.Errorf("event 3 stage/logical/instr = %d/%d/%v", evs[3].Stage, evs[3].Logical, evs[3].In)
+	}
 	// Physical stage wraps for recirculated slots.
-	if evs[3].Stage != 3 || evs[3].Logical != 3 {
-		t.Errorf("event 3 stage/logical = %d/%d", evs[3].Stage, evs[3].Logical)
+	evs = nil
+	run(d, &PHV{}, nops(23))
+	if len(evs) != 23 || evs[22].Stage != 2 || evs[22].Logical != 22 {
+		t.Errorf("recirculated event: %d events, last stage/logical = %d/%d", len(evs), evs[len(evs)-1].Stage, evs[len(evs)-1].Logical)
 	}
 	d.SetTrace(nil) // disable: no panic on next exec
-	d.Exec(&PHV{Instrs: nops(3)})
+	run(d, &PHV{}, nops(3))
 }
 
 func TestForkMirrorDst(t *testing.T) {
 	d := testDevice(t)
-	installTestActions(d)
-	d.SetAction(isa.OpFork, func(ctx *Ctx, in isa.Instruction) {
-		ctx.PHV.RequestFork()
-		ctx.PHV.SetForkDst(42)
-	})
-	outs := d.Exec(&PHV{Instrs: []isa.Instruction{{Op: isa.OpFork}, {Op: isa.OpReturn}}})
-	if len(outs) != 2 {
-		t.Fatalf("outputs = %d", len(outs))
+	mirror := func(session uint8) (uint32, bool) { return 42, session == 1 }
+	prog := []isa.Instruction{{Op: isa.OpFork, Operand: 1}, {Op: isa.OpReturn}}
+	outs := runMirrored(d, &PHV{}, prog, mirror)
+	if len(outs.PHVs) != 2 {
+		t.Fatalf("outputs = %d", len(outs.PHVs))
 	}
-	if outs[0].DstSet {
+	if outs.PHVs[0].DstSet {
 		t.Error("original steered to mirror port")
 	}
-	if !outs[1].DstSet || outs[1].Dst != 42 {
-		t.Errorf("clone dst = %v/%d, want 42", outs[1].DstSet, outs[1].Dst)
+	if !outs.PHVs[1].DstSet || outs.PHVs[1].Dst != 42 {
+		t.Errorf("clone dst = %v/%d, want 42", outs.PHVs[1].DstSet, outs.PHVs[1].Dst)
+	}
+	// An uninstalled session leaves the clone unsteered.
+	outs = runMirrored(d, &PHV{}, []isa.Instruction{{Op: isa.OpFork, Operand: 2}, {Op: isa.OpReturn}}, mirror)
+	if len(outs.PHVs) != 2 || outs.PHVs[1].DstSet {
+		t.Error("clone steered by an uninstalled mirror session")
 	}
 }

@@ -2,17 +2,14 @@ package rmt
 
 import "activermt/internal/telemetry"
 
-// ExecStats is a counter sink for the packet hot path. The device and the
-// installed actions count into an ExecStats instead of touching the shared
-// counter fields directly, which is what lets N execution lanes run
-// concurrently without racing on accounting state: each lane owns a private
-// sink and merges it into the device's legacy counters under a
-// happens-before edge (lane shutdown).
-//
-// The single-threaded compatibility path (Device.Exec) flushes the sink into
-// the legacy fields after every packet, so code that reads Device.PacketsIn,
-// Stage.Executed, or RegisterArray.Reads between packets observes exactly
-// the values the pre-split implementation produced.
+// ExecStats is a counter sink for the packet hot path. Plan execution
+// counts into an ExecStats instead of touching the shared counter fields
+// directly, which is what lets N execution lanes run concurrently without
+// racing on accounting state: each executor owns a private sink and merges
+// it into the device's legacy counters under a happens-before edge (after
+// every capsule on the switch, at lane shutdown for lanes), so code that
+// reads Device.PacketsIn, Stage.Executed, or RegisterArray.Reads between
+// packets sees up-to-date values.
 type ExecStats struct {
 	PacketsIn, PacketsDropped, Recirculations uint64
 
@@ -74,9 +71,9 @@ func (s *ExecStats) Merge(o *ExecStats) {
 // FlushInto drains the sink into the device's legacy counter fields (device
 // totals, per-stage Executed, register-array access counters), mirroring
 // into the device's telemetry metrics when attached, and resets it. Callers
-// must hold exclusive access to the device's counters: the compat Exec path
-// (single-threaded by construction) or a lane merge after a quiescent drain
-// or worker join.
+// must hold exclusive access to the device's counters: the owner of a
+// single-threaded executor, or a lane merge after a quiescent drain or
+// worker join.
 func (s *ExecStats) FlushInto(d *Device) {
 	s.flushTel(d)
 	s.FlushLegacyInto(d)

@@ -9,7 +9,7 @@ import (
 // Telemetry is the device's pre-registered metric handle set. All handles
 // are created at attach time; the packet path never looks anything up by
 // name. Counters are fed exclusively by ExecStats.FlushInto at the existing
-// merge points (compat path per packet, lanes at Stop), so enabling
+// merge points (per capsule on the switch, lanes at Stop), so enabling
 // telemetry adds no synchronization to execution itself; the latency
 // histogram accumulates lane-locally in ExecStats.Lat the same way.
 type Telemetry struct {

@@ -25,11 +25,11 @@ func TestRecircLimiterThrottles(t *testing.T) {
 	long.Instrs = append(long.Instrs, isa.Instruction{Op: isa.OpReturn})
 
 	// First packet consumes the whole budget; the second is dropped.
-	outs := r.ExecuteProgram(progPacket(fid, long.Clone(), [4]uint32{}))
+	outs := execProgram(r, progPacket(fid, long.Clone(), [4]uint32{}))
 	if outs[0].Dropped {
 		t.Fatal("first recirculating packet dropped")
 	}
-	outs = r.ExecuteProgram(progPacket(fid, long.Clone(), [4]uint32{}))
+	outs = execProgram(r, progPacket(fid, long.Clone(), [4]uint32{}))
 	if !outs[0].Dropped {
 		t.Fatal("over-budget packet not dropped")
 	}
@@ -39,14 +39,14 @@ func TestRecircLimiterThrottles(t *testing.T) {
 
 	// Short programs are never policed.
 	short := isa.MustAssemble("s", "NOP\nRETURN")
-	outs = r.ExecuteProgram(progPacket(fid, short.Clone(), [4]uint32{}))
+	outs = execProgram(r, progPacket(fid, short.Clone(), [4]uint32{}))
 	if outs[0].Dropped {
 		t.Error("single-pass program throttled")
 	}
 
 	// A new window refills the bucket.
 	now += 2 * time.Second
-	outs = r.ExecuteProgram(progPacket(fid, long.Clone(), [4]uint32{}))
+	outs = execProgram(r, progPacket(fid, long.Clone(), [4]uint32{}))
 	if outs[0].Dropped {
 		t.Error("budget not refilled after window")
 	}
@@ -62,11 +62,11 @@ func TestRecircLimiterPerFID(t *testing.T) {
 		long.Instrs = append(long.Instrs, isa.Instruction{Op: isa.OpNop})
 	}
 	// FID 1 exhausts its own budget; FID 2 is unaffected.
-	r.ExecuteProgram(progPacket(1, long.Clone(), [4]uint32{}))
-	if outs := r.ExecuteProgram(progPacket(1, long.Clone(), [4]uint32{})); !outs[0].Dropped {
+	execProgram(r, progPacket(1, long.Clone(), [4]uint32{}))
+	if outs := execProgram(r, progPacket(1, long.Clone(), [4]uint32{})); !outs[0].Dropped {
 		t.Error("fid 1 not throttled")
 	}
-	if outs := r.ExecuteProgram(progPacket(2, long.Clone(), [4]uint32{})); outs[0].Dropped {
+	if outs := execProgram(r, progPacket(2, long.Clone(), [4]uint32{})); outs[0].Dropped {
 		t.Error("fid 2 throttled by fid 1's usage")
 	}
 }
@@ -99,14 +99,14 @@ func TestRecircBudgetRemainingBoundary(t *testing.T) {
 	// remaining == extra is the admissible boundary: both tokens spend
 	// cleanly, then the very next capsule throttles.
 	for want := 1; want >= 0; want-- {
-		if outs := r.ExecuteProgram(progPacket(fid, long.Clone(), [4]uint32{})); outs[0].Dropped {
+		if outs := execProgram(r, progPacket(fid, long.Clone(), [4]uint32{})); outs[0].Dropped {
 			t.Fatalf("capsule with remaining > 0 dropped (want left %d)", want)
 		}
 		if got := r.RecircBudgetRemaining(fid); got != want {
 			t.Fatalf("remaining = %d, want %d", got, want)
 		}
 	}
-	if outs := r.ExecuteProgram(progPacket(fid, long.Clone(), [4]uint32{})); !outs[0].Dropped {
+	if outs := execProgram(r, progPacket(fid, long.Clone(), [4]uint32{})); !outs[0].Dropped {
 		t.Fatal("capsule admitted at remaining 0")
 	}
 	if r.RecircThrottled != 1 {
@@ -137,14 +137,14 @@ func TestPrivilegeGatesForwarding(t *testing.T) {
 	prog := isa.MustAssemble("route", "MBR_LOAD 0\nSET_DST\nRETURN")
 
 	// Fully privileged by default.
-	outs := r.ExecuteProgram(progPacket(fid, prog.Clone(), [4]uint32{42}))
+	outs := execProgram(r, progPacket(fid, prog.Clone(), [4]uint32{42}))
 	if !outs[0].DstSet || outs[0].Dst != 42 {
 		t.Fatal("privileged SET_DST suppressed")
 	}
 
 	// Revoke forwarding privilege: SET_DST becomes a NOP.
 	r.SetPrivilege(fid, 0)
-	outs = r.ExecuteProgram(progPacket(fid, prog.Clone(), [4]uint32{42}))
+	outs = execProgram(r, progPacket(fid, prog.Clone(), [4]uint32{42}))
 	if outs[0].DstSet {
 		t.Fatal("unprivileged SET_DST took effect")
 	}
@@ -154,21 +154,21 @@ func TestPrivilegeGatesForwarding(t *testing.T) {
 
 	// DROP and FORK are gated too; RTS (reply to own sender) is not.
 	dropper := isa.MustAssemble("d", "DROP")
-	if outs := r.ExecuteProgram(progPacket(fid, dropper.Clone(), [4]uint32{})); outs[0].Dropped {
+	if outs := execProgram(r, progPacket(fid, dropper.Clone(), [4]uint32{})); outs[0].Dropped {
 		t.Error("unprivileged DROP executed")
 	}
 	forker := isa.MustAssemble("f", "FORK\nRETURN")
-	if outs := r.ExecuteProgram(progPacket(fid, forker.Clone(), [4]uint32{})); len(outs) != 1 {
+	if outs := execProgram(r, progPacket(fid, forker.Clone(), [4]uint32{})); len(outs) != 1 {
 		t.Error("unprivileged FORK cloned")
 	}
 	rts := isa.MustAssemble("r", "RTS\nRETURN")
-	if outs := r.ExecuteProgram(progPacket(fid, rts.Clone(), [4]uint32{})); !outs[0].ToSender {
+	if outs := execProgram(r, progPacket(fid, rts.Clone(), [4]uint32{})); !outs[0].ToSender {
 		t.Error("RTS should remain available to unprivileged programs")
 	}
 
 	// Restoring privilege restores the instruction.
 	r.SetPrivilege(fid, PrivForwarding)
-	outs = r.ExecuteProgram(progPacket(fid, prog.Clone(), [4]uint32{42}))
+	outs = execProgram(r, progPacket(fid, prog.Clone(), [4]uint32{42}))
 	if !outs[0].DstSet {
 		t.Error("restored privilege ineffective")
 	}
@@ -193,7 +193,7 @@ func TestExtendedForwardingConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.AdmitStateless(1)
-	outs := r.ExecuteProgram(progPacket(1, isa.MustAssemble("p", "NOP\nRETURN").Clone(), [4]uint32{}))
+	outs := execProgram(r, progPacket(1, isa.MustAssemble("p", "NOP\nRETURN").Clone(), [4]uint32{}))
 	if !outs[0].Executed {
 		t.Error("extended runtime broken")
 	}

@@ -10,22 +10,20 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// This file is the allocation-free packet hot path. ExecuteCapsule performs
-// the same admission checks, PHV construction, pipeline execution, and
-// output encoding as ExecuteProgram, but:
+// This file is the runtime's packet path: ExecuteCapsule is the only way a
+// capsule executes (the switch, the embedding facade, lanes, and the
+// benchmarks all call it or its batch form). It performs the admission
+// checks, fills the PHV, runs the capsule's compiled plan, and encodes the
+// outputs, and:
 //
 //   - all per-packet state lives in a reusable ExecResult (pooled PHV,
-//     pooled output capsules, reusable device-output buffer), so the
-//     steady-state loop performs zero heap allocations;
+//     pooled clone PHVs, pooled output capsules), so the steady-state loop
+//     performs zero heap allocations;
 //   - control state is read exclusively from the published snapshots
 //     (ctrlView + rmt.PipeView), never from the mutable builder maps;
 //   - counters accumulate into a caller-owned ExecSink and guard events are
 //     buffered there, so N lanes can execute concurrently and merge their
 //     accounting under a happens-before edge instead of racing.
-//
-// ExecuteProgram remains the single-threaded compatibility entry point with
-// identical observable behavior; the netsim experiments keep using it so
-// their outputs stay byte-identical.
 
 // GuardEventKind discriminates buffered guard notifications.
 type GuardEventKind uint8
@@ -51,6 +49,8 @@ type GuardEvent struct {
 
 // PathStats mirrors the Runtime's execution counters; the hot path counts
 // here and the owner flushes into the Runtime fields under exclusion.
+// Specialized counts plan executions, which since every admitted capsule
+// runs a plan equals ProgramsRun.
 // RecircThrottled is absent: RecircAllowed already updates it atomically.
 type PathStats struct {
 	ProgramsRun, Passthrough, Faults uint64
@@ -72,8 +72,8 @@ func (s *PathStats) FlushInto(r *Runtime) {
 
 // flushTel mirrors the counters into the shared telemetry counters without
 // resetting them. The counters are sharded atomics, so this half is safe
-// from a lane worker mid-stream; zero deltas are skipped so the per-packet
-// compat flush stays a few atomic adds.
+// from a lane worker mid-stream; zero deltas are skipped so the per-capsule
+// flush stays a few atomic adds.
 func (s *PathStats) flushTel(t *Telemetry) {
 	if s.ProgramsRun != 0 {
 		t.ProgramsRun.Add(s.ProgramsRun)
@@ -125,8 +125,8 @@ func (s *PathStats) addInto(dst *PathStats) {
 }
 
 // ExecSink is the per-executor accounting context: path counters, a device
-// counter sink, and buffered guard events. Each lane owns one; the compat
-// path owns one and drains it after every packet.
+// counter sink, and buffered guard events. Each lane owns one; the switch
+// owns one and drains it after every capsule.
 type ExecSink struct {
 	Path   PathStats
 	Dev    *rmt.ExecStats
@@ -139,22 +139,32 @@ type ExecSink struct {
 
 	// lat is the bounded per-FID latency recorder (nil when telemetry is
 	// off). Only the batch path records into it — ExecuteBatch observes per
-	// packet and flushes once per batch — so the single-packet path's
-	// telemetry overhead stays unchanged.
+	// packet and flushes once per batch — so the single-capsule path pays
+	// nothing for it.
 	lat *latVec
 }
 
-// NewExecSink returns a sink sized for the runtime's pipeline. With
-// telemetry attached, the sink carries its own flight recorder under a
-// fresh lane id and a per-FID latency recorder for the batch path.
+// NewExecSink returns a sink sized for the runtime's pipeline, bound to the
+// attached telemetry (if any; see BindSink).
 func (r *Runtime) NewExecSink() *ExecSink {
 	s := &ExecSink{Dev: rmt.NewExecStats(r.dev.NumStages())}
-	if t := r.tel; t != nil {
-		s.FR = telemetry.NewFlightRecorder(int(t.laneSeq.Add(1)), telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
-		t.reg.AttachFlight(s.FR)
-		s.lat = newLatVec(t.PacketLatFID)
-	}
+	r.BindSink(s)
 	return s
+}
+
+// BindSink gives a sink that has none the attached telemetry's recorders:
+// its own flight recorder under a fresh lane id and a per-FID latency
+// recorder for the batch path. A no-op without telemetry or when the sink is
+// already bound, so a long-lived executor calls it per capsule to pick up
+// telemetry attached after the sink was created. Sink owner only.
+func (r *Runtime) BindSink(s *ExecSink) {
+	t := r.tel
+	if t == nil || s.FR != nil {
+		return
+	}
+	s.FR = telemetry.NewFlightRecorder(int(t.laneSeq.Add(1)), telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
+	t.reg.AttachFlight(s.FR)
+	s.lat = newLatVec(t.PacketLatFID)
 }
 
 // DeliverEvents replays the buffered guard events into the installed
@@ -194,20 +204,21 @@ type outSlot struct {
 	prog isa.Program
 }
 
-// ExecResult holds every piece of per-packet scratch state the fast path
-// needs: a pooled PHV, the device output buffer, and reusable output
-// capsules. Outputs are valid until the next ExecuteCapsule call with the
-// same ExecResult; callers that need to retain an output must copy it.
+// ExecResult holds every piece of per-packet scratch state the packet path
+// needs: a pooled PHV, the device's output collector (with its pooled clone
+// PHVs), and reusable output capsules. Outputs are valid until the next
+// ExecuteCapsule call with the same ExecResult; callers that need to retain
+// an output must copy it.
 type ExecResult struct {
 	Outputs []*Output
 
 	phv     *rmt.PHV
-	devOuts []*rmt.PHV
+	devOuts rmt.PlanOutputs
 	slots   []*outSlot
 
 	// memo is the direct-mapped plan memo (see specialize.go): single-writer
-	// like the rest of the scratch state, validated per hit by plan-table and
-	// program pointer identity.
+	// like the rest of the scratch state, validated per hit by plan-table
+	// generation and program pointer identity.
 	memo [planMemoSize]planMemoEntry
 }
 
@@ -241,18 +252,21 @@ func (res *ExecResult) slot(i int) *outSlot {
 func (res *ExecResult) addOutput(s *outSlot) { res.Outputs = append(res.Outputs, &s.out) }
 
 // ExecuteCapsule runs one program capsule through the pipeline with all
-// scratch state drawn from res and all accounting routed into sink. It is
-// the allocation-free equivalent of ExecuteProgram: admission checks read
-// the published control snapshot, the PHV and output capsules are reused,
-// and guard notifications are buffered in the sink instead of delivered
-// inline. Admitted programs execute through their compiled plan when one is
-// (or can be) cached for the current snapshot pair; everything else takes
-// the interpreter (see specialize.go).
+// scratch state drawn from res and all accounting routed into sink, and
+// leaves the outputs (primary first, then FORK clones) in res.Outputs.
+// Programs whose FID was never admitted pass through unexecuted, exactly as
+// a table miss would behave on the real switch. Programs whose FID was
+// revoked — or is quarantined during a reallocation (FlagMemSync excepted),
+// or over its recirculation budget — hard-drop: a tenant stripped of its
+// grant must not retain pipeline access, and a deactivated tenant's packets
+// must not leak around the snapshot. Guard notifications are buffered in
+// the sink (DeliverEvents replays them).
 //
-// Unlike ExecuteProgram, refused packets (revoked/quarantined/throttled) do
-// not mutate the input capsule's flags: the FlagFailed marking is applied to
-// the copied output capsule, which is what goes on the wire. The input may
-// therefore be a pooled buffer reused by the caller.
+// Admitted programs execute through the compiled plan cached for the
+// current snapshot pair, compiling it on first sight (see specialize.go).
+// Refused packets do not mutate the input capsule: the FlagFailed marking is
+// applied to the copied output capsule, so the input may be a pooled buffer
+// reused by the caller.
 func (r *Runtime) ExecuteCapsule(a *packet.Active, res *ExecResult, sink *ExecSink) {
 	r.executeOne(a, res, sink, r.view(), r.dev.View(), r.planTab.Load())
 }
@@ -269,46 +283,40 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 		return
 	}
 	fid := a.Header.FID
-	// Specialized entry: usable only when the plan table matches the loaded
-	// snapshot pair by pointer identity (a publish in between unreaches it).
-	// A cached plan exists only for a FID that passed the admission checks
-	// under this exact control view, so a hit skips the revoked/admitted map
-	// lookups; the quarantine mark is folded into the plan and only the
+	// The plan table is usable only when it matches the loaded snapshot
+	// pair by pointer identity (a publish in between unreaches it). A cached
+	// plan exists only for a FID that passed the admission checks under this
+	// exact control view, so a hit skips the revoked/admitted map lookups;
+	// the quarantine mark is folded into the plan and only the
 	// packet-dependent checks (FlagMemSync, recirculation budget) remain.
-	spec := tab != nil && tab.cv == cv && tab.pv == pv &&
-		!r.specOff.Load() && !r.dev.TraceEnabled()
-	if spec {
+	current := tab.cv == cv && tab.pv == pv
+	if current {
 		// The direct-mapped memo remembers the plan this executor last
-		// resolved for the FID's slot; a hit (validated by table and program
-		// pointer identity) skips the plan map's hash entirely.
+		// resolved for the FID's slot; a hit (validated by table generation
+		// and program pointer identity) skips the plan map's hash entirely.
 		m := &res.memo[int(fid)&(planMemoSize-1)]
 		pl := m.pl
-		if m.tab != tab || m.prog != a.Program || m.fid != fid {
+		if m.gen != tab.gen || m.prog != a.Program || m.fid != fid {
 			pl = tab.plans[planKey{prog: a.Program, fid: fid}]
 			if pl != nil {
-				*m = planMemoEntry{tab: tab, prog: a.Program, fid: fid, pl: pl}
+				*m = planMemoEntry{gen: tab.gen, prog: a.Program, fid: fid, pl: pl}
 			}
 		}
 		if pl != nil {
-			if pl.rp != nil {
-				if pl.quarantined && a.Header.Flags&packet.FlagMemSync == 0 {
-					sink.Path.QuarantineDrops++
-					sink.flightRefusal(cv, fid, telemetry.VerdictQuarantined)
-					res.hardDrop(a, lat)
-					return
-				}
-				if !r.RecircAllowed(fid, a.Program.Len()) {
-					sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
-					sink.flightRefusal(cv, fid, telemetry.VerdictThrottled)
-					res.hardDrop(a, lat)
-					return
-				}
-				r.execSpecialized(a, pl, res, sink, cv, fid)
+			if pl.quarantined && a.Header.Flags&packet.FlagMemSync == 0 {
+				sink.Path.QuarantineDrops++
+				sink.flightRefusal(cv, fid, telemetry.VerdictQuarantined)
+				res.hardDrop(a, lat)
 				return
 			}
-			// Cached negative (FORK or otherwise uncompilable): interpret,
-			// and skip the compile retry below.
-			spec = false
+			if !r.RecircAllowed(fid, a.Program.Len()) {
+				sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
+				sink.flightRefusal(cv, fid, telemetry.VerdictThrottled)
+				res.hardDrop(a, lat)
+				return
+			}
+			r.execPlan(a, pl, res, sink, cv, fid)
+			return
 		}
 	}
 	if cv.revoked[fid] {
@@ -335,66 +343,26 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 		return
 	}
 	if !r.RecircAllowed(fid, a.Program.Len()) {
+		// The recirculation fairness controller polices bandwidth
+		// inflation (Section 7.2): over-budget programs are dropped.
 		sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
 		sink.flightRefusal(cv, fid, telemetry.VerdictThrottled)
 		res.hardDrop(a, lat)
 		return
 	}
-	if spec {
+	key := planKey{prog: a.Program, fid: fid}
+	var pl *compiledPlan
+	if current {
 		// First sighting of this program version under the current
 		// snapshots, past all admission checks: compile (cached for every
-		// subsequent packet) and execute the plan when one comes back.
-		pl := r.compilePlan(tab, planKey{prog: a.Program, fid: fid})
-		if pl.rp != nil {
-			r.execSpecialized(a, pl, res, sink, cv, fid)
-			return
-		}
+		// subsequent packet).
+		pl = r.compilePlan(tab, key)
+	} else {
+		// Post-publish window: the loaded snapshot pair has no plan table
+		// yet. Execute a one-shot plan compiled against the pair.
+		pl = r.buildPlan(cv, pv, key)
 	}
-	sink.Path.ProgramsRun++
-
-	phv := res.phv
-	phv.Reset()
-	phv.FID = fid
-	phv.Data = a.Args
-	phv.Instrs = append(phv.Instrs[:0], a.Program.Instrs...)
-	if a.Header.Flags&packet.FlagPreload != 0 {
-		phv.MAR = a.Args[2]
-		phv.MBR = a.Args[0]
-	}
-	r.applyPrivilegeInto(cv, phv, &sink.Path)
-	if tup, ok := packet.ParseFiveTuple(a.Payload); ok {
-		phv.TupleWords = tup.WordsArray()
-	}
-
-	res.devOuts = r.dev.ExecInto(phv, res.devOuts[:0], sink.Dev)
-	for i, p := range res.devOuts {
-		if p.Faulted {
-			sink.Path.Faults++
-			sink.Events = append(sink.Events, GuardEvent{
-				Kind: GuardEventMemFault, FID: fid,
-				Stage: p.FaultStage, Addr: p.FaultAddr,
-				Owner: p.FaultOwner, Owned: p.FaultOwned,
-			})
-		}
-		s := res.slot(i)
-		r.encodeOutputInto(a, p, s)
-		res.addOutput(s)
-	}
-	if fr := sink.FR; fr != nil {
-		p := res.devOuts[0] // primary PHV describes the capsule's traversal
-		forced := p.Faulted || p.Dropped
-		if fr.ShouldSample() || forced {
-			v := telemetry.VerdictExecuted
-			if p.Dropped {
-				v = telemetry.VerdictDropped
-			}
-			fr.Record(telemetry.FlightEntry{
-				FID: fid, Epoch: cv.epochs[fid], Verdict: v,
-				Stages: uint16(p.StagesRun), Passes: uint8(p.Passes),
-				Faulted: p.Faulted, Addr: p.MAR, FaultAddr: p.FaultAddr,
-			})
-		}
-	}
+	r.execPlan(a, pl, res, sink, cv, fid)
 }
 
 // hardDrop fills slot 0 with the dropped-with-FlagFailed output for packets
@@ -408,71 +376,4 @@ func (res *ExecResult) hardDrop(a *packet.Active, lat time.Duration) {
 	s.act.Header.Flags |= packet.FlagFailed
 	s.out = Output{Active: &s.act, Dropped: true, Latency: lat}
 	res.addOutput(s)
-}
-
-// applyPrivilegeInto is applyPrivilege against an explicit control view and
-// counter sink.
-func (r *Runtime) applyPrivilegeInto(cv *ctrlView, p *rmt.PHV, ps *PathStats) {
-	mask := ^uint8(0)
-	if cv.hasPriv {
-		if m, ok := cv.privilege[p.FID]; ok {
-			mask = m
-		}
-	}
-	if mask&PrivForwarding != 0 {
-		return
-	}
-	for i := range p.Instrs {
-		switch p.Instrs[i].Op {
-		case isa.OpSetDst, isa.OpFork, isa.OpDrop:
-			p.Instrs[i].Op = isa.OpNop
-			ps.PrivSuppressed++
-		}
-	}
-}
-
-// encodeOutputInto rebuilds an output capsule from a post-execution PHV into
-// the reusable slot, shrinking executed instruction headers unless the
-// program opted out — the zero-allocation twin of encodeOutput.
-func (r *Runtime) encodeOutputInto(in *packet.Active, p *rmt.PHV, s *outSlot) {
-	hdr := in.Header
-	hdr.Flags |= packet.FlagFromSwch
-	if p.Complete {
-		hdr.Flags |= packet.FlagDone
-	}
-	if p.ToSender {
-		hdr.Flags |= packet.FlagRTS
-	}
-	if p.Dropped {
-		hdr.Flags |= packet.FlagFailed
-	}
-
-	s.prog.Name = in.Program.Name
-	s.prog.Instrs = s.prog.Instrs[:0]
-	noShrink := in.Header.Flags&packet.FlagNoShrink != 0
-	for _, instr := range p.Instrs {
-		if instr.Executed && !noShrink {
-			continue
-		}
-		s.prog.Instrs = append(s.prog.Instrs, instr)
-	}
-
-	s.act = packet.Active{
-		Header:  hdr,
-		Args:    p.Data,
-		Program: &s.prog,
-		Payload: in.Payload,
-	}
-	s.act.Header.SetType(packet.TypeProgram)
-	s.out = Output{
-		Active:   &s.act,
-		ToSender: p.ToSender,
-		DstSet:   p.DstSet,
-		Dst:      p.Dst,
-		Dropped:  p.Dropped,
-		IsClone:  p.IsClone,
-		Executed: true,
-		Latency:  p.Latency,
-		Passes:   p.Passes,
-	}
 }

@@ -7,8 +7,8 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// execFast runs one capsule through the fast path and flushes the sink, so
-// counter state is comparable with the compat path after every packet.
+// execFast runs one capsule through the packet path and flushes the sink,
+// so counter state is comparable after every packet.
 func execFast(r *Runtime, a *packet.Active, res *ExecResult, sink *ExecSink) []*Output {
 	r.ExecuteCapsule(a, res, sink)
 	sink.Path.FlushInto(r)
@@ -55,31 +55,28 @@ func compareOutputs(t *testing.T, step string, want, got []*Output) {
 	}
 }
 
-// TestExecuteCapsuleMatchesExecuteProgram drives the compat path and the
-// fast path through the same packet sequence on two identical runtimes and
-// requires identical wire outputs, runtime counters, and register state:
-// hit/miss queries, a protection fault, unadmitted passthrough, quarantine
-// drop, and revoked drop.
-func TestExecuteCapsuleMatchesExecuteProgram(t *testing.T) {
+// TestExecuteCapsuleMatchesReference drives the packet path and the
+// reference executor (differential_test.go) through the same packet
+// sequence on two identically configured runtimes and requires identical
+// wire outputs, runtime and device counters, and register state: hit/miss
+// queries, a protection fault, unadmitted passthrough, quarantine drop, and
+// revoked drop.
+func TestExecuteCapsuleMatchesReference(t *testing.T) {
 	ra := testRuntime(t)
 	rb := testRuntime(t)
 	installCacheGrant(t, ra, 1, 0, 1024)
 	installCacheGrant(t, rb, 1, 0, 1024)
+	ref := newRefEnv(ra)
 
 	res := NewExecResult()
 	sink := rb.NewExecSink()
-	capsule := func(fid uint16, flags uint16, args [4]uint32) (*packet.Active, *packet.Active) {
-		a := progPacket(fid, cacheQuery, args)
-		b := progPacket(fid, cacheQuery.Clone(), args)
-		a.Header.Flags |= flags
-		b.Header.Flags |= flags
-		return a, b
-	}
-
 	step := func(name string, fid uint16, flags uint16, args [4]uint32) {
 		t.Helper()
-		a, b := capsule(fid, flags, args)
-		compareOutputs(t, name, ra.ExecuteProgram(a), execFast(rb, b, res, sink))
+		a := progPacket(fid, cacheQuery.Clone(), args)
+		b := progPacket(fid, cacheQuery, args)
+		a.Header.Flags |= flags
+		b.Header.Flags |= flags
+		compareOutputs(t, name, ref.execute(a), execFast(rb, b, res, sink))
 	}
 
 	step("miss", 1, packet.FlagPreload, [4]uint32{7, 9, 100, 0})
@@ -90,6 +87,7 @@ func TestExecuteCapsuleMatchesExecuteProgram(t *testing.T) {
 	ra.Deactivate(1)
 	rb.Deactivate(1)
 	step("quarantined", 1, packet.FlagPreload, [4]uint32{1, 2, 100, 0})
+	step("memsync", 1, packet.FlagPreload|packet.FlagMemSync, [4]uint32{1, 2, 100, 0})
 	ra.Reactivate(1)
 	rb.Reactivate(1)
 	step("reactivated", 1, packet.FlagPreload, [4]uint32{7, 9, 100, 0})
@@ -98,30 +96,7 @@ func TestExecuteCapsuleMatchesExecuteProgram(t *testing.T) {
 	rb.RemoveGrant(1)
 	step("revoked", 1, packet.FlagPreload, [4]uint32{1, 2, 100, 0})
 
-	// Counter and device state must agree exactly.
-	if ra.ProgramsRun != rb.ProgramsRun || ra.Passthrough != rb.Passthrough ||
-		ra.Faults != rb.Faults || ra.QuarantineDrops != rb.QuarantineDrops ||
-		ra.RevokedDrops != rb.RevokedDrops {
-		t.Fatalf("runtime counters diverged:\ncompat %d/%d/%d/%d/%d\nfast   %d/%d/%d/%d/%d",
-			ra.ProgramsRun, ra.Passthrough, ra.Faults, ra.QuarantineDrops, ra.RevokedDrops,
-			rb.ProgramsRun, rb.Passthrough, rb.Faults, rb.QuarantineDrops, rb.RevokedDrops)
-	}
-	da, db := ra.Device(), rb.Device()
-	if da.PacketsIn != db.PacketsIn || da.PacketsDropped != db.PacketsDropped || da.Recirculations != db.Recirculations {
-		t.Fatalf("device counters diverged: %d/%d/%d vs %d/%d/%d",
-			da.PacketsIn, da.PacketsDropped, da.Recirculations,
-			db.PacketsIn, db.PacketsDropped, db.Recirculations)
-	}
-	for s := 0; s < da.NumStages(); s++ {
-		sa, sb := da.Stage(s), db.Stage(s)
-		if sa.Executed != sb.Executed {
-			t.Fatalf("stage %d executed %d vs %d", s, sa.Executed, sb.Executed)
-		}
-		if sa.Registers.Reads != sb.Registers.Reads || sa.Registers.Writes != sb.Registers.Writes ||
-			sa.Registers.Faults != sb.Registers.Faults {
-			t.Fatalf("stage %d register counters diverged", s)
-		}
-	}
+	ref.checkAgainst(t, rb)
 }
 
 // TestExecuteCapsuleZeroAlloc is the allocation gate for the packet hot

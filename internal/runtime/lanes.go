@@ -49,9 +49,9 @@ func sched() { gort.Gosched() }
 // table swap on hardware), and packets dispatched after the commit see the
 // new one.
 //
-// The single-threaded deterministic mode (ExecuteProgram, used by netsim
-// experiments and chaos scenarios) remains the default; Lanes is the
-// throughput mode behind `activebench -lanes N`.
+// The single-threaded deterministic mode (ExecuteCapsule, which the switch
+// runs for netsim experiments and chaos scenarios) remains the default;
+// Lanes is the throughput mode behind `activebench -lanes N`.
 type Lanes struct {
 	rt *Runtime
 	n  int

@@ -36,7 +36,7 @@ func counterWord(t *testing.T, r *Runtime, fid uint16, addr uint32) uint32 {
 
 // TestLanesSingleLaneEquivalence: a single lane processes capsules in
 // dispatch order, so after Stop the counters and register state must be
-// identical to the same stream run through the sequential compat path.
+// identical to the same stream run through the sequential single-capsule path.
 func TestLanesSingleLaneEquivalence(t *testing.T) {
 	ra := testRuntime(t)
 	rb := testRuntime(t)
@@ -62,13 +62,13 @@ func TestLanesSingleLaneEquivalence(t *testing.T) {
 	const n = 400
 	for i := 0; i < n; i++ {
 		a, b := stream(i)
-		ra.ExecuteProgram(a)
+		execProgram(ra, a)
 		lanes.Dispatch(b, uint32(i))
 	}
 	lanes.Stop()
 
 	if ra.ProgramsRun != rb.ProgramsRun || ra.Passthrough != rb.Passthrough || ra.Faults != rb.Faults {
-		t.Fatalf("counters diverged: compat run/pass/fault %d/%d/%d, lanes %d/%d/%d",
+		t.Fatalf("counters diverged: sequential run/pass/fault %d/%d/%d, lanes %d/%d/%d",
 			ra.ProgramsRun, ra.Passthrough, ra.Faults, rb.ProgramsRun, rb.Passthrough, rb.Faults)
 	}
 	da, db := ra.Device(), rb.Device()
@@ -87,7 +87,7 @@ func TestLanesSingleLaneEquivalence(t *testing.T) {
 		}
 		for i := range wa {
 			if wa[i] != wb[i] {
-				t.Fatalf("stage %d word %d: compat %#x, lanes %#x", phys, i, wa[i], wb[i])
+				t.Fatalf("stage %d word %d: sequential %#x, lanes %#x", phys, i, wa[i], wb[i])
 			}
 		}
 	}

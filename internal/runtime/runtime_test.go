@@ -26,6 +26,29 @@ func progPacket(fid uint16, p *isa.Program, args [4]uint32) *packet.Active {
 	return a
 }
 
+// execProgram runs one capsule through ExecuteCapsule with fresh scratch
+// state, flushes its accounting into the runtime, delivers its guard events,
+// and returns deep copies of the outputs — the synchronous one-shot form the
+// unit tests use.
+func execProgram(r *Runtime, a *packet.Active) []*Output {
+	res, sink := NewExecResult(), r.NewExecSink()
+	r.ExecuteCapsule(a, res, sink)
+	sink.Path.FlushInto(r)
+	sink.Dev.FlushInto(r.Device())
+	r.DeliverEvents(sink)
+	outs := make([]*Output, len(res.Outputs))
+	for i, o := range res.Outputs {
+		c := *o
+		act := *o.Active
+		if act.Program != nil {
+			act.Program = act.Program.Clone()
+		}
+		c.Active = &act
+		outs[i] = &c
+	}
+	return outs
+}
+
 // cacheQuery is the paper's Listing 1: query an in-network object cache.
 var cacheQuery = isa.MustAssemble("cache-query", `
 .arg ADDR 2
@@ -70,7 +93,7 @@ func TestCacheQueryHitAndMiss(t *testing.T) {
 	r.Device().Stage(8).Registers.Write(102, val)
 
 	// Hit: matching key.
-	outs := r.ExecuteProgram(progPacket(fid, cacheQuery.Clone(), [4]uint32{key0, key1, 100, 0}))
+	outs := execProgram(r, progPacket(fid, cacheQuery.Clone(), [4]uint32{key0, key1, 100, 0}))
 	if len(outs) != 1 {
 		t.Fatalf("outputs = %d", len(outs))
 	}
@@ -90,12 +113,12 @@ func TestCacheQueryHitAndMiss(t *testing.T) {
 	}
 
 	// Miss: wrong first key half terminates at CRET without RTS.
-	outs = r.ExecuteProgram(progPacket(fid, cacheQuery.Clone(), [4]uint32{0xDEAD, key1, 100, 0}))
+	outs = execProgram(r, progPacket(fid, cacheQuery.Clone(), [4]uint32{0xDEAD, key1, 100, 0}))
 	if outs[0].ToSender {
 		t.Error("cache miss must forward, not RTS")
 	}
 	// Miss on second half.
-	outs = r.ExecuteProgram(progPacket(fid, cacheQuery.Clone(), [4]uint32{key0, 0xDEAD, 100, 0}))
+	outs = execProgram(r, progPacket(fid, cacheQuery.Clone(), [4]uint32{key0, 0xDEAD, 100, 0}))
 	if outs[0].ToSender {
 		t.Error("partial-key miss must forward")
 	}
@@ -106,7 +129,7 @@ func TestMemoryProtectionFault(t *testing.T) {
 	const fid = 9
 	installCacheGrant(t, r, fid, 0, 64)
 	// Address 2000 is outside [0,64): the packet must fault and drop.
-	outs := r.ExecuteProgram(progPacket(fid, cacheQuery.Clone(), [4]uint32{1, 2, 2000, 0}))
+	outs := execProgram(r, progPacket(fid, cacheQuery.Clone(), [4]uint32{1, 2, 2000, 0}))
 	if !outs[0].Dropped {
 		t.Fatal("out-of-region access not dropped")
 	}
@@ -126,12 +149,12 @@ func TestIsolationBetweenFIDs(t *testing.T) {
 	installCacheGrant(t, r, 1, 0, 64)
 	installCacheGrant(t, r, 2, 64, 128)
 	// FID 2 addressing FID 1's region must fault.
-	outs := r.ExecuteProgram(progPacket(2, cacheQuery.Clone(), [4]uint32{1, 2, 10, 0}))
+	outs := execProgram(r, progPacket(2, cacheQuery.Clone(), [4]uint32{1, 2, 10, 0}))
 	if !outs[0].Dropped {
 		t.Fatal("cross-tenant access not dropped")
 	}
 	// FID 2 in its own region executes.
-	outs = r.ExecuteProgram(progPacket(2, cacheQuery.Clone(), [4]uint32{1, 2, 70, 0}))
+	outs = execProgram(r, progPacket(2, cacheQuery.Clone(), [4]uint32{1, 2, 70, 0}))
 	if outs[0].Dropped {
 		t.Fatal("in-region access dropped")
 	}
@@ -140,7 +163,7 @@ func TestIsolationBetweenFIDs(t *testing.T) {
 func TestUnadmittedAndQuarantinedPassThrough(t *testing.T) {
 	r := testRuntime(t)
 	pkt := progPacket(5, cacheQuery.Clone(), [4]uint32{1, 2, 0, 0})
-	outs := r.ExecuteProgram(pkt)
+	outs := execProgram(r, pkt)
 	if outs[0].Executed {
 		t.Fatal("unadmitted FID executed")
 	}
@@ -153,12 +176,12 @@ func TestUnadmittedAndQuarantinedPassThrough(t *testing.T) {
 	if !r.Quarantined(5) {
 		t.Fatal("not quarantined")
 	}
-	outs = r.ExecuteProgram(progPacket(5, cacheQuery.Clone(), [4]uint32{1, 2, 0, 0}))
+	outs = execProgram(r, progPacket(5, cacheQuery.Clone(), [4]uint32{1, 2, 0, 0}))
 	if outs[0].Executed {
 		t.Fatal("quarantined FID executed")
 	}
 	r.Reactivate(5)
-	outs = r.ExecuteProgram(progPacket(5, cacheQuery.Clone(), [4]uint32{1, 2, 0, 0}))
+	outs = execProgram(r, progPacket(5, cacheQuery.Clone(), [4]uint32{1, 2, 0, 0}))
 	if !outs[0].Executed {
 		t.Fatal("reactivated FID did not execute")
 	}
@@ -248,7 +271,7 @@ func TestSketchWithRuntimeTranslation(t *testing.T) {
 
 	args := [4]uint32{0x1234, 0x5678, 0, 0}
 	for i := 0; i < 3; i++ {
-		outs := r.ExecuteProgram(progPacket(fid, hhSketch.Clone(), args))
+		outs := execProgram(r, progPacket(fid, hhSketch.Clone(), args))
 		if outs[0].Dropped {
 			t.Fatalf("iteration %d dropped (translation failed?)", i)
 		}
@@ -290,13 +313,13 @@ func TestAdmitStateless(t *testing.T) {
 	r := testRuntime(t)
 	const fid = 20
 	prog := isa.MustAssemble("probe", "NOP\nNOP\nRTS\nRETURN")
-	outs := r.ExecuteProgram(progPacket(fid, prog.Clone(), [4]uint32{}))
+	outs := execProgram(r, progPacket(fid, prog.Clone(), [4]uint32{}))
 	if outs[0].Executed {
 		t.Fatal("executed before admission")
 	}
 	r.AdmitStateless(fid)
 	r.AdmitStateless(fid) // idempotent
-	outs = r.ExecuteProgram(progPacket(fid, prog.Clone(), [4]uint32{}))
+	outs = execProgram(r, progPacket(fid, prog.Clone(), [4]uint32{}))
 	if !outs[0].Executed || !outs[0].ToSender {
 		t.Fatal("stateless program did not run")
 	}
@@ -308,7 +331,7 @@ func TestNoShrinkKeepsInstructions(t *testing.T) {
 	prog := isa.MustAssemble("p", "NOP\nNOP\nRETURN")
 	a := progPacket(8, prog.Clone(), [4]uint32{})
 	a.Header.Flags |= packet.FlagNoShrink
-	outs := r.ExecuteProgram(a)
+	outs := execProgram(r, a)
 	if got := outs[0].Active.Program.Len(); got != 3 {
 		t.Fatalf("NoShrink program length = %d, want 3", got)
 	}
@@ -325,8 +348,9 @@ func TestArithmeticAndCopyOps(t *testing.T) {
 	run := func(src string, args [4]uint32) *rmt.PHV {
 		t.Helper()
 		prog := isa.MustAssemble("t", src)
-		phv := &rmt.PHV{FID: 6, Data: args, Instrs: prog.Instrs}
-		r.Device().Exec(phv)
+		pl := r.Device().CompilePlan(6, prog.Instrs, r.Device().View(), nil)
+		phv := &rmt.PHV{FID: 6, Data: args}
+		r.Device().ExecPlan(pl, phv, rmt.NewExecStats(r.Device().NumStages()), &rmt.PlanOutputs{})
 		return phv
 	}
 
@@ -397,7 +421,7 @@ func TestSetDstForwarding(t *testing.T) {
 	r := testRuntime(t)
 	r.AdmitStateless(12)
 	prog := isa.MustAssemble("setdst", "MBR_LOAD 0\nSET_DST\nRETURN")
-	outs := r.ExecuteProgram(progPacket(12, prog.Clone(), [4]uint32{33}))
+	outs := execProgram(r, progPacket(12, prog.Clone(), [4]uint32{33}))
 	if !outs[0].DstSet || outs[0].Dst != 33 {
 		t.Fatalf("SET_DST output = %+v", outs[0])
 	}
@@ -407,7 +431,7 @@ func TestForkProducesTwoOutputs(t *testing.T) {
 	r := testRuntime(t)
 	r.AdmitStateless(13)
 	prog := isa.MustAssemble("fork", "FORK\nRETURN")
-	outs := r.ExecuteProgram(progPacket(13, prog.Clone(), [4]uint32{}))
+	outs := execProgram(r, progPacket(13, prog.Clone(), [4]uint32{}))
 	if len(outs) != 2 {
 		t.Fatalf("outputs = %d, want 2", len(outs))
 	}
@@ -424,11 +448,11 @@ func TestFiveTupleHashing(t *testing.T) {
 	payload := buildUDP(t)
 	a := progPacket(14, prog.Clone(), [4]uint32{})
 	a.Payload = payload
-	out1 := r.ExecuteProgram(a)[0]
+	out1 := execProgram(r, a)[0]
 
 	b := progPacket(14, prog.Clone(), [4]uint32{})
 	b.Payload = payload
-	out2 := r.ExecuteProgram(b)[0]
+	out2 := execProgram(r, b)[0]
 	if out1.Active.Args != out2.Active.Args {
 		t.Error("same 5-tuple hashed differently")
 	}
@@ -457,7 +481,7 @@ func TestPreloadReachesFirstStage(t *testing.T) {
 	prog := isa.MustAssemble("w0", "MEM_WRITE\nRTS\nRETURN") // access at index 0
 	a := progPacket(fid, prog.Clone(), [4]uint32{0xBEEF, 0, 130, 0})
 	a.Header.Flags |= packet.FlagPreload // MAR <- data[2], MBR <- data[0]
-	outs := r.ExecuteProgram(a)
+	outs := execProgram(r, a)
 	if outs[0].Dropped {
 		t.Fatal("preloaded first-stage write dropped")
 	}

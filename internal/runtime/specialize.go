@@ -9,26 +9,26 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// This file is the specialization layer of the packet hot path. The decoded-
-// program cache already canonicalizes programs per (FID, epoch, len, CRC32):
-// every capsule carrying the same program version under the same grant epoch
-// resolves to one shared *isa.Program. The runtime exploits that identity to
-// compile each admitted program version once — against the exact published
-// snapshot pair (ctrlView, rmt.PipeView) — into a straight-line rmt.Plan,
-// then executes packets through the plan instead of the interpreter.
+// This file is the plan layer of the packet path. The decoded-program cache
+// already canonicalizes programs per (FID, epoch, len, CRC32): every capsule
+// carrying the same program version under the same grant epoch resolves to
+// one shared *isa.Program. The runtime exploits that identity to compile
+// each admitted program version once — against the exact published snapshot
+// pair (ctrlView, rmt.PipeView) — into a straight-line rmt.Plan, and every
+// packet executes through a plan.
 //
 // Validity is pointer identity, never comparison: a plan table remembers the
 // snapshot pair it was built against, publish() installs a fresh empty table
 // after every snapshot swap, and the hot path uses a table only when its
 // snapshot pointers equal the ones just loaded. A grant install, epoch bump,
-// quarantine flip, privilege change, or revocation all funnel through
-// publish(), so every one of them unreaches the previous table wholesale; a
-// stale plan cannot execute because nothing can reach it.
+// quarantine flip, privilege change, mirror-session change, or revocation all
+// funnel through publish(), so every one of them unreaches the previous
+// table wholesale; a stale plan cannot execute because nothing can reach it.
 //
-// The interpreter remains the always-correct fallback: unknown or unadmitted
-// FIDs, programs the compiler refuses (FORK), trace-hook sessions, a full
-// plan table, and the window between a publish and the first recompile all
-// run through the unchanged interpreter path.
+// Nothing falls back: a full plan table, or the window between a publish and
+// the fresh table (a reader that loaded the new snapshots before the table
+// swap), executes a one-shot plan compiled against the snapshot pair the
+// packet already loaded.
 
 // planKey identifies one compiled plan: the canonical decoded-program
 // pointer (which already encodes FID, grant epoch, length, and CRC32 — see
@@ -41,23 +41,22 @@ type planKey struct {
 
 // compiledPlan is the runtime-side wrapper of one compiled program: the
 // privilege-rewritten instruction image the output encoder slices from, the
-// device plan (nil when the program is not specializable — cached so the hot
-// path stops retrying), and the admission facts folded at compile time.
+// device plan, and the admission facts folded at compile time.
 type compiledPlan struct {
 	rp     *rmt.Plan
 	instrs []isa.Instruction
 	// suppressed is the number of privileged instructions rewritten to NOP
-	// at compile time; the interpreter counts suppressions per packet, so
-	// the specialized path adds the same amount for every packet executed.
+	// at compile time; suppressions are counted per packet, so every
+	// execution adds this amount.
 	suppressed uint64
 	// quarantined snapshots the FID's quarantine mark under the compile
 	// view: plans exist only for admitted, unrevoked FIDs (compilation runs
 	// after the admission checks), so this is the only per-FID admission
-	// flag the specialized entry still has to consult.
+	// flag the cached-plan entry still has to consult.
 	quarantined bool
 	// preMarked notes that the wire image arrived with Executed bits already
 	// set on some headers, forcing the output encoder onto its filtering
-	// slow path to reproduce the interpreter's shrink exactly.
+	// slow path (those headers are shrunk too).
 	preMarked bool
 }
 
@@ -67,10 +66,12 @@ type compiledPlan struct {
 // to the map lookup.
 const planMemoSize = 16
 
-// planMemoEntry caches one resolved plan, validated by table pointer (which
-// pins the snapshot pair) and canonical program pointer.
+// planMemoEntry caches one resolved plan, validated by table generation
+// (which pins the snapshot pair) and canonical program pointer. It holds the
+// generation rather than the table so a stale entry never keeps a
+// superseded table and its plans alive.
 type planMemoEntry struct {
-	tab  *planTable
+	gen  uint64
 	prog *isa.Program
 	fid  uint16
 	pl   *compiledPlan
@@ -81,6 +82,7 @@ type planMemoEntry struct {
 // (rare — once per program version per publish) build a new table under
 // planMu and republish the pointer.
 type planTable struct {
+	gen   uint64 // unique per table, never 0 (numbered by Runtime.planGen)
 	cv    *ctrlView
 	pv    *rmt.PipeView
 	plans map[planKey]*compiledPlan
@@ -94,17 +96,10 @@ const maxPlans = 4096
 // pair. Called (under planMu) from publish() after every snapshot swap.
 func (r *Runtime) resetPlans(cv *ctrlView) {
 	r.planMu.Lock()
-	r.planTab.Store(&planTable{cv: cv, pv: r.dev.View(), plans: make(map[planKey]*compiledPlan)})
+	r.planGen++
+	r.planTab.Store(&planTable{gen: r.planGen, cv: cv, pv: r.dev.View(), plans: make(map[planKey]*compiledPlan)})
 	r.planMu.Unlock()
 }
-
-// SetSpecialization enables or disables compiled-plan execution (enabled by
-// default). Disabling it forces every packet through the interpreter — the
-// honest baseline for benchmarks and differential tests.
-func (r *Runtime) SetSpecialization(on bool) { r.specOff.Store(!on) }
-
-// SpecializationEnabled reports whether compiled-plan execution is enabled.
-func (r *Runtime) SpecializationEnabled() bool { return !r.specOff.Load() }
 
 // PlanCompiles returns the number of plan compilations performed.
 func (r *Runtime) PlanCompiles() uint64 { return r.planCompiles.Load() }
@@ -133,7 +128,8 @@ func (r *Runtime) compilePlan(tab *planTable, key planKey) *compiledPlan {
 	}
 	pl := r.buildPlan(tab.cv, tab.pv, key)
 	if len(tab.plans) < maxPlans {
-		next := &planTable{cv: tab.cv, pv: tab.pv, plans: make(map[planKey]*compiledPlan, len(tab.plans)+1)}
+		r.planGen++
+		next := &planTable{gen: r.planGen, cv: tab.cv, pv: tab.pv, plans: make(map[planKey]*compiledPlan, len(tab.plans)+1)}
 		for k, v := range tab.plans {
 			next.plans[k] = v
 		}
@@ -143,8 +139,11 @@ func (r *Runtime) compilePlan(tab *planTable, key planKey) *compiledPlan {
 	return pl
 }
 
-// buildPlan folds privilege and compiles the device plan for one program
-// version under an explicit snapshot pair.
+// buildPlan folds privilege and mirror sessions and compiles the device plan
+// for one program version under an explicit snapshot pair. Unprivileged
+// FIDs have their forwarding-affecting opcodes (SET_DST, FORK, DROP)
+// rewritten to NOPs, exactly as a match-table privilege qualifier would
+// suppress the actions.
 func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compiledPlan {
 	cp := &compiledPlan{
 		instrs:      append([]isa.Instruction(nil), key.prog.Instrs...),
@@ -171,7 +170,11 @@ func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compil
 			break
 		}
 	}
-	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs, pv)
+	mirror := func(session uint8) (uint32, bool) {
+		port, ok := cv.mirror[mirrorKey(key.fid, session)]
+		return port, ok
+	}
+	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs, pv, mirror)
 	r.planCompiles.Add(1)
 	if t := r.tel; t != nil {
 		t.PlanCompiles.Inc()
@@ -179,13 +182,13 @@ func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compil
 	return cp
 }
 
-// execSpecialized runs one admitted capsule through its compiled plan. The
-// caller has performed the admission checks; this mirrors the interpreter
-// tail of executeOne (PHV fill, execution, fault event, output encoding,
-// flight sampling) with the plan executor in place of ExecInto. The
-// instruction image never enters the PHV: the plan carries it, and the
-// encoder rebuilds the output body from the image plus the exit index.
-func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, res *ExecResult, sink *ExecSink, cv *ctrlView, fid uint16) {
+// execPlan runs one admitted capsule through its compiled plan: PHV fill,
+// execution, fault events, output encoding (primary first, then FORK
+// clones), and flight sampling. The caller has performed the admission
+// checks. The instruction image never enters the PHV: the plan carries it,
+// and the encoder rebuilds each output body from the image plus that
+// output's exit index.
+func (r *Runtime) execPlan(a *packet.Active, pl *compiledPlan, res *ExecResult, sink *ExecSink, cv *ctrlView, fid uint16) {
 	phv := res.phv
 	phv.Reset()
 	phv.FID = fid
@@ -197,22 +200,26 @@ func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, res *ExecR
 	if tup, ok := packet.ParseFiveTuple(a.Payload); ok {
 		phv.TupleWords = tup.WordsArray()
 	}
-	exit := r.dev.ExecPlan(pl.rp, phv, sink.Dev)
+	outs := &res.devOuts
+	r.dev.ExecPlan(pl.rp, phv, sink.Dev, outs)
 	sink.Path.ProgramsRun++
 	sink.Path.Specialized++
 	sink.Path.PrivSuppressed += pl.suppressed
-	if phv.Faulted {
-		sink.Path.Faults++
-		sink.Events = append(sink.Events, GuardEvent{
-			Kind: GuardEventMemFault, FID: fid,
-			Stage: phv.FaultStage, Addr: phv.FaultAddr,
-			Owner: phv.FaultOwner, Owned: phv.FaultOwned,
-		})
+	for i, p := range outs.PHVs {
+		if p.Faulted {
+			sink.Path.Faults++
+			sink.Events = append(sink.Events, GuardEvent{
+				Kind: GuardEventMemFault, FID: fid,
+				Stage: p.FaultStage, Addr: p.FaultAddr,
+				Owner: p.FaultOwner, Owned: p.FaultOwned,
+			})
+		}
+		s := res.slot(i)
+		encodePlanOutput(a, p, pl, outs.Exits[i], s)
+		res.addOutput(s)
 	}
-	s := res.slot(0)
-	r.encodePlanOutput(a, phv, pl, exit, s)
-	res.addOutput(s)
 	if fr := sink.FR; fr != nil {
+		// The primary PHV describes the capsule's traversal.
 		forced := phv.Faulted || phv.Dropped
 		if fr.ShouldSample() || forced {
 			v := telemetry.VerdictExecuted
@@ -228,13 +235,12 @@ func (r *Runtime) execSpecialized(a *packet.Active, pl *compiledPlan, res *ExecR
 	}
 }
 
-// encodePlanOutput rebuilds the output capsule after a plan execution. The
-// plan path never copies the instruction image into the PHV, so the shrink
-// that encodeOutputInto derives from per-slot Executed flags is derived here
-// from the exit index instead: the interpreter marks exactly the first exit
-// headers, so the shrunk body is the image's tail — one append of a slice
-// instead of a per-instruction filter loop.
-func (r *Runtime) encodePlanOutput(in *packet.Active, p *rmt.PHV, pl *compiledPlan, exit int, s *outSlot) {
+// encodePlanOutput rebuilds one output capsule after a plan execution,
+// shrinking executed instruction headers unless the program opted out
+// (Section 3.1's packet-shrinking optimization). The output traversed
+// exactly the first exit headers, so the shrunk body is the image's tail —
+// one append of a slice instead of a per-instruction filter loop.
+func encodePlanOutput(in *packet.Active, p *rmt.PHV, pl *compiledPlan, exit int, s *outSlot) {
 	hdr := in.Header
 	hdr.Flags |= packet.FlagFromSwch
 	if p.Complete {
@@ -252,8 +258,7 @@ func (r *Runtime) encodePlanOutput(in *packet.Active, p *rmt.PHV, pl *compiledPl
 	switch {
 	case in.Header.Flags&packet.FlagNoShrink != 0:
 		// Keep every header, the traversed prefix marked Executed; marks
-		// pre-set on the wire image survive the copy, as they survive the
-		// interpreter's per-slot OR.
+		// pre-set on the wire image survive the copy.
 		s.prog.Instrs = append(s.prog.Instrs[:0], instrs...)
 		for i := 0; i < exit; i++ {
 			s.prog.Instrs[i].Executed = true
@@ -262,7 +267,7 @@ func (r *Runtime) encodePlanOutput(in *packet.Active, p *rmt.PHV, pl *compiledPl
 		s.prog.Instrs = append(s.prog.Instrs[:0], instrs[exit:]...)
 	default:
 		// Rare: the wire image arrived with Executed bits already set; the
-		// interpreter's shrink drops those headers too.
+		// shrink drops those headers too.
 		s.prog.Instrs = s.prog.Instrs[:0]
 		for i, instr := range instrs {
 			if i < exit || instr.Executed {

@@ -54,7 +54,7 @@ func TestExecuteBatchZeroAlloc(t *testing.T) {
 				t.Fatalf("batch path allocates %.2f/batch, want 0", avg)
 			}
 			if sink.Path.Specialized == 0 {
-				t.Fatal("batch never took the specialized path")
+				t.Fatal("batch never ran a compiled plan")
 			}
 		})
 	}
@@ -63,9 +63,10 @@ func TestExecuteBatchZeroAlloc(t *testing.T) {
 // TestPlanInvalidationOnGrantCommit proves a grant commit (epoch bump +
 // region move) evicts the compiled plan itself — not just the decoded
 // program — and that a superseded plan table can never execute a stale plan:
-// validity is pointer identity against the freshly loaded snapshots, so the
-// stale table's hit falls back to the interpreter and the next packet
-// recompiles against the just-published view.
+// validity is pointer identity against the freshly loaded snapshots, so a
+// packet holding the stale table executes a one-shot plan compiled against
+// the snapshots it loaded, and the next packet recompiles into the fresh
+// table.
 func TestPlanInvalidationOnGrantCommit(t *testing.T) {
 	r := testRuntime(t)
 	installCacheGrant(t, r, 1, 0, 1024)
@@ -104,29 +105,30 @@ func TestPlanInvalidationOnGrantCommit(t *testing.T) {
 	}
 
 	// Executing against the superseded table must not use its stale plan:
-	// the pointer-identity check fails and the packet interprets. The stale
-	// table itself stays untouched.
+	// the pointer-identity check fails and a one-shot plan runs against the
+	// new snapshots, so address 100 — outside the moved grant — faults.
+	// Neither table caches the one-shot plan.
 	sink.Path = PathStats{}
 	res2 := NewExecResult() // fresh memo: prove the table check alone suffices
 	r.executeOne(a, res2, sink, r.view(), r.dev.View(), tab1)
-	if sink.Path.Specialized != 0 {
-		t.Fatal("stale plan table executed a specialized packet")
+	if !res2.Outputs[0].Dropped || sink.Path.Faults != 1 {
+		t.Fatal("stale plan table executed its stale plan")
 	}
-	if len(tab1.plans) != 1 {
-		t.Fatal("stale table mutated after supersession")
+	if len(tab1.plans) != 1 || len(r.planTab.Load().plans) != 0 {
+		t.Fatal("one-shot plan was cached")
 	}
 	r.DeliverEvents(sink)
 
 	// The next packet through the normal entry recompiles under the new
-	// snapshots, and the recompiled plan carries the new bounds: address 100
-	// is outside the moved grant and must fault.
+	// snapshots into the fresh table, and the recompiled plan carries the
+	// new bounds.
 	sink.Path = PathStats{}
 	r.ExecuteCapsule(a, res, sink)
 	if sink.Path.Specialized != 1 {
-		t.Fatal("no specialized execution after recompilation")
+		t.Fatal("no plan execution after recompilation")
 	}
-	if r.PlanCompiles() < 2 {
-		t.Fatalf("PlanCompiles = %d, want >= 2", r.PlanCompiles())
+	if r.PlanCompiles() != 3 || len(r.planTab.Load().plans) != 1 {
+		t.Fatalf("PlanCompiles = %d, want 3 (initial, one-shot, recompile)", r.PlanCompiles())
 	}
 	if !res.Outputs[0].Dropped || sink.Path.Faults != 1 {
 		t.Fatal("recompiled plan kept the stale grant bounds")
@@ -157,37 +159,6 @@ func TestPlanInvalidationOnQuarantineAndPrivilege(t *testing.T) {
 	r.SetPrivilege(1, 0)
 	if r.planTab.Load() == tab {
 		t.Fatal("privilege commit did not replace the plan table")
-	}
-}
-
-// TestSpecializationToggle proves SetSpecialization(false) forces the
-// interpreter (the benchmark baseline) and that re-enabling resumes plan
-// execution without a recompile.
-func TestSpecializationToggle(t *testing.T) {
-	r := testRuntime(t)
-	installCacheGrant(t, r, 1, 0, 1024)
-	res := NewExecResult()
-	sink := r.NewExecSink()
-	a := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
-	a.Header.Flags |= packet.FlagPreload
-
-	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
-		t.Fatal("specialization not on by default")
-	}
-	r.SetSpecialization(false)
-	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
-		t.Fatal("disabled specialization still ran a plan")
-	}
-	r.SetSpecialization(true)
-	compiles := r.PlanCompiles()
-	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 2 {
-		t.Fatal("re-enabled specialization did not run the cached plan")
-	}
-	if r.PlanCompiles() != compiles {
-		t.Fatal("toggle recompiled an unchanged plan")
 	}
 }
 

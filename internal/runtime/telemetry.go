@@ -9,8 +9,8 @@ import (
 )
 
 // Telemetry is the runtime's pre-registered metric handle set. Counters are
-// fed from PathStats.FlushInto at the existing merge points (per packet on
-// the compat path, at Stop for lanes) plus the inline compat-path sites;
+// fed from PathStats.FlushInto at the existing merge points (per capsule on
+// the switch, mid-stream and at Stop for lanes);
 // gauges describing committed control state (admission counts, per-FID
 // epochs, per-stage occupancy) are updated exclusively inside publish()
 // under the registry's commit seqlock, which is what makes a scrape
@@ -32,8 +32,8 @@ type Telemetry struct {
 	SnapshotGen                    *telemetry.Gauge
 	Epochs                         *telemetry.GaugeVec
 
-	// laneSeq hands out flight-recorder lane ids: 0 is the compat path,
-	// ExecSinks (one per lane worker) take 1, 2, ...
+	// laneSeq hands out flight-recorder lane ids: each ExecSink (the
+	// switch's, one per lane worker) takes the next of 1, 2, ...
 	laneSeq atomic.Int32
 }
 
@@ -42,9 +42,10 @@ func (t *Telemetry) Registry() *telemetry.Registry { return t.reg }
 
 // AttachTelemetry registers the runtime's and its device's metric set in
 // reg and returns the handle set. It also installs the grant-liveness
-// resolver for flight-recorder entries and a flight recorder for the
-// single-threaded execution path, and republishes the control snapshot so
-// every gauge starts populated. Attach once, before traffic starts.
+// resolver for flight-recorder entries and republishes the control snapshot
+// so every gauge starts populated. Execution sinks created afterwards (or
+// refreshed with BindSink) carry their own flight recorders. Attach once,
+// before traffic starts.
 func (r *Runtime) AttachTelemetry(reg *telemetry.Registry) *Telemetry {
 	t := &Telemetry{
 		reg:             reg,
@@ -91,9 +92,6 @@ func (r *Runtime) AttachTelemetry(reg *telemetry.Registry) *Telemetry {
 		return cv.admitted[fid] && cv.epochs[fid] == epoch
 	})
 
-	r.flight = telemetry.NewFlightRecorder(0, telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
-	reg.AttachFlight(r.flight)
-
 	r.tel = t
 	r.publish() // populate the gauges under a first commit
 	return t
@@ -120,17 +118,5 @@ func (r *Runtime) syncGauges(v *ctrlView) {
 func (r *Runtime) addTableOps(n uint64) {
 	if t := r.tel; t != nil {
 		t.TableOps.Add(n)
-	}
-}
-
-// flightRecord writes one entry into the compat-path recorder (single-
-// threaded callers only); refusals force-record, everything else samples.
-func (r *Runtime) flightRecord(forced bool, e telemetry.FlightEntry) {
-	fr := r.flight
-	if fr == nil {
-		return
-	}
-	if fr.ShouldSample() || forced {
-		fr.Record(e)
 	}
 }

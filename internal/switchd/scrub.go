@@ -27,23 +27,27 @@ func (c *Controller) ScrubFID(fid uint16) (int, bool) {
 	return words, true
 }
 
-// ScrubWord zeroes the single word at addr in every installed region of fid
-// that contains it — a per-key eviction through the control plane. The
-// coherent cache uses it when a write's acknowledged commit provably
-// bypassed a replica (rerouted around it), so whatever that replica holds
-// for the key is unconfirmed: zeroing turns a possible stale hit into a
-// miss the server refills. Same liveness contract as ScrubFID.
+// ScrubWord evicts the bucket at addr from fid's memory through the control
+// plane — a per-key eviction. A bucket spans one word per memory access:
+// MEM_READ advances MAR, so the i-th access (in logical-stage order) holds
+// the bucket's word addr+i in that access's stage, and that is the word
+// zeroed there. The coherent cache uses it when a write's acknowledged
+// commit provably bypassed a replica (rerouted around it), so whatever that
+// replica holds for the key is unconfirmed: zeroing turns a possible stale
+// hit into a miss the server refills, and leaves the neighbouring buckets
+// intact. Returns the words zeroed; same liveness contract as ScrubFID.
 func (c *Controller) ScrubWord(fid uint16, addr uint32) (int, bool) {
 	if !c.alive {
 		return 0, false
 	}
 	words := 0
 	dev := c.rt.Device()
-	for s, reg := range c.rt.InstalledRegions(fid) {
-		if addr < reg.Lo || addr >= reg.Hi {
+	for i, phys := range c.rt.AccessStages(fid) {
+		w := addr + uint32(i)
+		if reg, ok := c.rt.RegionFor(fid, phys); !ok || w < reg.Lo || w >= reg.Hi {
 			continue
 		}
-		if err := dev.Stage(s).Registers.Zero(addr, addr+1); err != nil {
+		if err := dev.Stage(phys).Registers.Zero(w, w+1); err != nil {
 			continue
 		}
 		words++

@@ -1,5 +1,6 @@
 // Package switchd implements the ActiveRMT switch: the data-plane node that
-// executes active programs at its ports (wrapping the runtime interpreter)
+// executes active programs at its ports (through the runtime's compiled
+// plans)
 // and the control-plane controller that serializes admissions, computes
 // allocations, orchestrates reallocation (deactivate -> snapshot window ->
 // table update -> reactivate, Section 4.3), and answers clients with
@@ -23,6 +24,12 @@ type Switch struct {
 	ctrl  *Controller
 	guard *guard.Guard
 	cache *packet.ProgCache
+
+	// res and sink are the switch's execution scratch state and accounting
+	// context: outputs are consumed before the next capsule executes, and
+	// the sink is drained after every capsule.
+	res  *runtime.ExecResult
+	sink *runtime.ExecSink
 
 	mac   packet.MAC
 	ports map[int]*netsim.Port
@@ -56,6 +63,8 @@ func NewSwitch(eng *netsim.Engine, rt *runtime.Runtime, mac packet.MAC) *Switch 
 		rt:    rt,
 		mac:   mac,
 		cache: packet.NewProgCache(0),
+		res:   runtime.NewExecResult(),
+		sink:  rt.NewExecSink(),
 		ports: make(map[int]*netsim.Port),
 		hosts: make(map[packet.MAC]int),
 	}
@@ -210,8 +219,14 @@ func (s *Switch) execute(f *packet.Frame, in *netsim.Port) {
 		s.GuardDropped++
 		return
 	}
-	outs := s.rt.ExecuteProgram(f.Active)
-	for _, out := range outs {
+	// Telemetry may be attached after the switch is built: bind the sink's
+	// flight recorder on first use.
+	s.rt.BindSink(s.sink)
+	s.rt.ExecuteCapsule(f.Active, s.res, s.sink)
+	s.sink.Path.FlushInto(s.rt)
+	s.sink.Dev.FlushInto(s.rt.Device())
+	s.rt.DeliverEvents(s.sink)
+	for _, out := range s.res.Outputs {
 		if out.Dropped {
 			s.FramesDropped++
 			continue
@@ -223,7 +238,8 @@ func (s *Switch) execute(f *packet.Frame, in *netsim.Port) {
 			// top at the next on-path device — PHV state does not cross
 			// switches, so the executed prefix must ride along un-stripped.
 			// The original decoded program is immutable under execution, so
-			// reattaching it restores the capsule to its ingress form.
+			// reattaching it restores the capsule to its ingress form (and
+			// copies it out of the reusable output slot).
 			if out.Active != f.Active {
 				restored := *out.Active
 				restored.Program = f.Active.Program

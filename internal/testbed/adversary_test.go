@@ -12,6 +12,7 @@ import (
 	"activermt/internal/guard"
 	"activermt/internal/isa"
 	"activermt/internal/packet"
+	"activermt/internal/runtime"
 )
 
 // victimWorkload populates the cache with 16 hot objects out of 64 and
@@ -401,6 +402,7 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 		wrote   bool
 	}
 	var burst []obs
+	res, sink := runtime.NewExecResult(), tb.RT.NewExecSink()
 	sendAt := func(at time.Duration, v uint32) {
 		tb.Eng.At(at, func() {
 			before := word()
@@ -412,7 +414,8 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 			a.Header.SetType(packet.TypeProgram)
 			view := dev.View()
 			_, viewHas := view.StageView(stage).Region(2)
-			tb.RT.ExecuteProgram(a)
+			tb.RT.ExecuteCapsule(a, res, sink)
+			tb.RT.DeliverEvents(sink)
 			burst = append(burst, obs{gen: view.Gen, viewHas: viewHas, wrote: word() != before})
 		})
 	}
