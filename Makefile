@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-baseline bench-multicore
+.PHONY: build test race bench benchdiff bench-baseline
 
 build:
 	$(GO) build ./...
@@ -17,12 +17,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Packet-path microbenchmarks (single capsule / batch / telemetry / lanes).
+# Packet-path microbenchmarks (ExecuteCapsule bare and with telemetry).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPacketPath' -benchmem .
 
 # Regression gate: re-run the pipeline harness and diff against the
-# committed baseline. Ratio gates (speedups, telemetry overhead) are
+# committed baseline. Ratio gates (fabric ratio, telemetry overhead) are
 # machine-independent; add ABS=1 on the machine that produced the baseline
 # to also gate raw pps.
 benchdiff:
@@ -32,9 +32,3 @@ benchdiff:
 # (run on a quiet machine, then commit BENCH_pipeline.json).
 bench-baseline:
 	$(GO) run ./cmd/benchdiff -rebase -trials 5
-
-# Multi-core throughput run: the full harness (including the multicore
-# series and its scaling-efficiency readout) under a 4-thread scheduler.
-# Meaningful scaling numbers need >= 4 real CPUs; see docs/architecture.md.
-bench-multicore:
-	GOMAXPROCS=4 $(GO) run ./cmd/activebench -lanes 8 -packets 500000 -bench-out bench-multicore.json

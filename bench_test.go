@@ -9,7 +9,6 @@ package main
 
 import (
 	"net/netip"
-	gort "runtime"
 	"testing"
 
 	"activermt/internal/alloc"
@@ -145,9 +144,11 @@ RETURN
 
 // BenchmarkPacketPath measures the allocation-free capsule hot path: one
 // cache-query execution through ExecuteCapsule with pooled scratch state,
-// so steady-state iterations run through the cached compiled plan. The allocs/op figure is the regression gate —
-// it must be 0 in steady state (TestExecuteCapsuleZeroAlloc enforces it;
-// this benchmark tracks the ns/op trajectory alongside).
+// so steady-state iterations run through the cached compiled plan and drain
+// their counters exactly as the switch does. The allocs/op figure is the
+// regression gate — it must be 0 in steady state
+// (TestExecuteCapsuleZeroAlloc enforces it; this benchmark tracks the ns/op
+// trajectory alongside).
 func BenchmarkPacketPath(b *testing.B) {
 	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
 	if err != nil {
@@ -165,36 +166,10 @@ func BenchmarkPacketPath(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketPathBatch runs the same path through ExecuteBatch
-// (batch size DefaultExecBatch): snapshot and plan-table loads amortized
-// across the batch. Reported per packet.
-func BenchmarkPacketPathBatch(b *testing.B) {
-	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res := runtime.NewExecResult()
-	sink := sys.RT.NewExecSink()
-	bs := runtime.DefaultExecBatch
-	for i := 0; i+bs <= len(ring); i += bs { // warm scratch buffers
-		sys.RT.ExecuteBatch(ring[i:i+bs], res, sink, nil)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	off := 0
-	for i := 0; i < b.N; i += bs {
-		sys.RT.ExecuteBatch(ring[off:off+bs], res, sink, nil)
-		off += bs
-		if off+bs > len(ring) {
-			off = 0
-		}
-	}
-}
-
 // BenchmarkPacketPathTelemetry is BenchmarkPacketPath with the full
-// telemetry registry attached: sampled flight recording plus local histogram
-// and counter accumulation ride along every capsule. The allocs/op gate
-// stays 0; the ns/op delta against BenchmarkPacketPath is the telemetry
+// telemetry registry attached: sampled flight recording and the latency
+// histograms ride along every capsule. The allocs/op gate stays 0; the
+// ns/op delta against BenchmarkPacketPath is the telemetry
 // overhead tracked in BENCH_pipeline.json (must stay within 10%).
 func BenchmarkPacketPathTelemetry(b *testing.B) {
 	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
@@ -212,36 +187,6 @@ func BenchmarkPacketPathTelemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys.RT.ExecuteCapsule(ring[i%len(ring)], res, sink)
 	}
-}
-
-// BenchmarkPacketPathLanes measures the same workload through the
-// multi-lane dataplane (lane count = GOMAXPROCS, floor 2): dispatch,
-// striped execution, counter merge at Stop.
-func BenchmarkPacketPathLanes(b *testing.B) {
-	sys, ring, err := experiments.BuildPacketPathWorkload(8, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := gort.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	lanes, err := sys.RT.NewLanes(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < len(ring); i++ { // warm-up
-		lanes.Dispatch(ring[i], uint32(i))
-	}
-	lanes.Quiesce()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lanes.Dispatch(ring[i%len(ring)], uint32(i))
-	}
-	lanes.Quiesce()
-	b.StopTimer()
-	lanes.Stop()
 }
 
 // BenchmarkAllocate measures one contended cache admission (enumeration +

@@ -6,16 +6,15 @@
 //	activebench -list
 //	activebench [-quick] [-seed N] [-out DIR] fig5a fig8b ...
 //	activebench [-quick] all
-//	activebench -lanes N [-packets M]
+//	activebench -pipeline [-packets M]
 //
 // Each experiment prints its headline metrics and notes to stdout and
 // writes its CSV data series to DIR/<id>.csv (default: results/).
 //
-// -lanes N runs the packet-path throughput harness instead: capsule
-// executions per second for the single-capsule path the switch runs, its
-// batched form, and the multi-lane dataplane at 1..N lanes, plus the
-// end-to-end fabric series, written to BENCH_pipeline.json for the perf
-// trajectory (gated by `make benchdiff`).
+// -pipeline runs the packet-path throughput harness instead: capsule
+// executions per second through the path the switch runs, bare and with
+// telemetry attached, plus the end-to-end fabric series, written to
+// BENCH_pipeline.json for the perf trajectory (gated by `make benchdiff`).
 package main
 
 import (
@@ -35,7 +34,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced trials/epochs")
 	seed := flag.Int64("seed", 1, "workload seed")
 	out := flag.String("out", "results", "output directory for CSV series")
-	lanes := flag.Int("lanes", 0, "run the packet-path throughput harness up to N lanes")
+	pipeline := flag.Bool("pipeline", false, "run the packet-path throughput harness")
 	packets := flag.Int("packets", 0, "throughput harness: capsules per measured run")
 	benchOut := flag.String("bench-out", "BENCH_pipeline.json", "throughput harness: result file")
 	telAddr := flag.String("telemetry", "", "serve telemetry (Prometheus /metrics, JSON, pprof) on this address during the throughput harness")
@@ -47,15 +46,15 @@ func main() {
 		}
 		return
 	}
-	if *lanes > 0 {
-		if err := runPipelineBench(*lanes, *packets, *benchOut, *telAddr); err != nil {
+	if *pipeline {
+		if err := runPipelineBench(*packets, *benchOut, *telAddr); err != nil {
 			fmt.Fprintln(os.Stderr, "activebench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *telAddr != "" {
-		fmt.Fprintln(os.Stderr, "activebench: -telemetry applies to the -lanes throughput harness")
+		fmt.Fprintln(os.Stderr, "activebench: -telemetry applies to the -pipeline throughput harness")
 		os.Exit(2)
 	}
 	ids := flag.Args()
@@ -98,7 +97,7 @@ func main() {
 			failed++
 			continue
 		}
-		for _, k := range sortedKeys(res.Metrics) {
+		for _, k := range res.MetricKeys() {
 			fmt.Printf("   %-40s %g\n", k, res.Metrics[k])
 		}
 		for _, n := range res.Notes {
@@ -111,20 +110,11 @@ func main() {
 	}
 }
 
-// runPipelineBench measures capsule throughput at 1,2,4,...,n lanes against
-// the single-threaded fast path and writes the result JSON. With telAddr
-// set, the telemetry-enabled run's registry is served over HTTP for the
-// duration of the harness so it can be scraped live.
-func runPipelineBench(n, packets int, path, telAddr string) error {
-	counts := []int{}
-	for c := 1; c < n; c *= 2 {
-		counts = append(counts, c)
-	}
-	counts = append(counts, n)
-	cfg := experiments.PipelineBenchConfig{
-		Lanes:   counts,
-		Packets: packets,
-	}
+// runPipelineBench runs the throughput harness and writes the result JSON.
+// With telAddr set, the telemetry-enabled run's registry is served over HTTP
+// for the duration of the harness so it can be scraped live.
+func runPipelineBench(packets int, path, telAddr string) error {
+	cfg := experiments.PipelineBenchConfig{Packets: packets}
 	if telAddr != "" {
 		cfg.Registry = telemetry.NewRegistry()
 		srv, err := telemetry.Serve(cfg.Registry, telAddr)
@@ -140,26 +130,12 @@ func runPipelineBench(n, packets int, path, telAddr string) error {
 	}
 	fmt.Printf("== packet-path throughput (%d tenants, cache workload, GOMAXPROCS=%d)\n",
 		res.Tenants, res.GoMaxProcs)
-	fmt.Printf("   %-12s %12.0f pps   (single-capsule baseline)\n", "single", res.Single.PPS)
-	fmt.Printf("   %-12s %12.0f pps   %.2fx vs single\n", "batch", res.Batch.PPS, res.Batch.Speedup)
+	fmt.Printf("   %-12s %12.0f pps   (ExecuteCapsule baseline)\n", "single", res.Single.PPS)
 	fmt.Printf("   %-12s %12.0f pps   %+.1f%% telemetry overhead\n",
 		"single+tel", res.SingleTelemetry.PPS, res.TelemetryDelta)
-	for _, lr := range res.Lanes {
-		fmt.Printf("   %-12s %12.0f pps   %.2fx vs single\n",
-			fmt.Sprintf("lanes=%d", lr.Lanes), lr.PPS, lr.Speedup)
-	}
-	if mc := res.Multicore; mc != nil {
-		fmt.Printf("   multicore series (GOMAXPROCS=%d, numcpu=%d):\n", mc.GoMaxProcs, mc.NumCPU)
-		for _, lr := range mc.Lanes {
-			fmt.Printf("   %-12s %12.0f pps   %.2fx vs 1 lane (%.0f pps/lane)\n",
-				fmt.Sprintf("mc lanes=%d", lr.Lanes), lr.PPS, lr.SpeedupVs1, lr.PerLanePPS)
-		}
-		fmt.Printf("   %-12s %12.2f       (speedup per lane at the 4-lane point)\n",
-			"scaling eff", mc.ScalingEfficiency)
-	}
 	if res.Fabric.PPS > 0 {
 		fmt.Printf("   %-12s %12.0f rtts  %.4fx vs single, %.1f allocs/GET (%d-switch leaf-spine, end to end)\n",
-			"fabric", res.Fabric.PPS, res.Fabric.Speedup, res.Fabric.AllocsPerOp, res.Fabric.Lanes)
+			"fabric", res.Fabric.PPS, res.Fabric.Speedup, res.Fabric.AllocsPerOp, res.Fabric.Switches)
 	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -170,17 +146,4 @@ func runPipelineBench(n, packets int, path, telAddr string) error {
 	}
 	fmt.Printf("   data: %s\n", path)
 	return nil
-}
-
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -133,9 +133,9 @@ func main() {
 	case "defrag":
 		err = runDefragDemo(*seed, *policyMode)
 	case "multi":
-		err = runFromExperiment("fig9b", *seed)
+		err = writeExperiment(os.Stdout, "fig9b", *seed)
 	case "churn":
-		err = runFromExperiment("fig8a", *seed)
+		err = writeExperiment(os.Stdout, "fig8a", *seed)
 	case "lb":
 		err = runLB(*seed)
 	case "synflood":
@@ -202,18 +202,20 @@ func runSoak(seed int64, dur time.Duration, csvPath, policyMode string, secapps 
 	return nil
 }
 
-func runFromExperiment(id string, seed int64) error {
+// writeExperiment runs experiment id in quick mode and writes its headline
+// metrics, in sorted order, and notes to w.
+func writeExperiment(w io.Writer, id string, seed int64) error {
 	spec, _ := experiments.Lookup(id)
 	res, err := spec.Run(experiments.RunConfig{Quick: true, Seed: seed})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario %s (%s)\n", id, res.Title)
-	for k, v := range res.Metrics {
-		fmt.Printf("  %-32s %g\n", k, v)
+	fmt.Fprintf(w, "scenario %s (%s)\n", id, res.Title)
+	for _, k := range res.MetricKeys() {
+		fmt.Fprintf(w, "  %-32s %g\n", k, res.Metrics[k])
 	}
 	for _, n := range res.Notes {
-		fmt.Printf("  note: %s\n", n)
+		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 	return nil
 }

@@ -200,14 +200,14 @@ func runHHRecirc(seed int64) error {
 	}
 	tb.RunFor(10 * time.Millisecond)
 
-	if tb.RT.RecircThrottled != 0 {
-		return fmt.Errorf("runtime throttled %d recirculating capsules — driver overran the budget", tb.RT.RecircThrottled)
+	if n := tb.RT.Counters().RecircThrottled.Value(); n != 0 {
+		return fmt.Errorf("runtime throttled %d recirculating capsules — driver overran the budget", n)
 	}
 	if led := tb.Guard.Tenant(claimFID); led != nil && led.Count(guard.KindRecircThrottled) != 0 {
 		return fmt.Errorf("guard ledger holds %d recirc-throttled entries", led.Count(guard.KindRecircThrottled))
 	}
 	fmt.Printf("[%8.3fs] budget respected: 0 throttles, device recirculations = %d = claims\n",
-		now(), tb.RT.Device().Recirculations)
+		now(), tb.RT.Device().Counters().Recirculations.Value())
 
 	hot, err := hh.HotKeys()
 	if err != nil {

@@ -5,25 +5,22 @@
 // committed baseline's noise bounds.
 //
 // Gating is ratio-based by default so the gate is machine-independent: raw
-// pps moves with the host, but the batch and fabric ratios to the
-// single-capsule path, the telemetry overhead, and the allocations per
-// fabric GET are properties of the code.
+// pps moves with the host, but the fabric ratio to the ExecuteCapsule path,
+// the telemetry overhead, and the allocations per fabric GET are properties
+// of the code. Both single-capsule series run ExecuteCapsule with its
+// per-capsule accounting drain — the cost switchd pays — so the telemetry
+// gate prices exactly what attaching a registry adds to it; the harness
+// measures that overhead as the median of interleaved bare/telemetry chunk
+// pairs.
 //
 //	hard gates (from the perf acceptance criteria, independent of baseline):
 //	  telemetry overhead  <= 10% of single (one-sided: negative deltas are
 //	                         noise, not credit)
 //	  fabric allocations  <= 18 per GET round trip
-//	  multicore: 4-lane speedup >= 2.5x 1-lane and scaling efficiency >= 0.6,
-//	             gated only when the host really has >= 4 CPUs (the series is
-//	             still measured and recorded on smaller hosts — honest numbers
-//	             either way, with numcpu in the JSON saying which)
 //	baseline gates (vs the committed BENCH_pipeline.json, -tolerance noise):
-//	  batch speedup not below baseline by > tolerance
 //	  fabric allocations per GET not above baseline by > tolerance
 //	  telemetry overhead not above baseline by > tolerance (percentage pts)
 //	  fabric end-to-end ratio vs single not below baseline by > tolerance
-//	  multicore 4-lane speedup not below baseline by > tolerance (only when
-//	  both sides were measured on >= 4 CPUs)
 //
 // -absolute additionally compares raw pps per series against the baseline —
 // only meaningful when the baseline was produced on this same machine.
@@ -69,11 +66,11 @@ func main() {
 	}
 }
 
-// runRebase rewrites the committed baseline with a best-of-N measurement —
-// the full lane series included — so the baseline carries the same noise
-// treatment the gate applies to the current build.
+// runRebase rewrites the committed baseline with a best-of-N measurement, so
+// the baseline carries the same noise treatment the gate applies to the
+// current build.
 func runRebase(path string, trials, packets int) error {
-	res, err := bestOf(trials, packets, []int{1, 2, 4})
+	res, err := bestOf(trials, packets)
 	if err != nil {
 		return err
 	}
@@ -86,21 +83,10 @@ func runRebase(path string, trials, packets int) error {
 	}
 	fmt.Printf("benchdiff: rebased %s (best of %d, %d packets/run)\n", path, trials, packets)
 	fmt.Printf("  single      %12.0f pps\n", res.Single.PPS)
-	fmt.Printf("  batch       %12.0f pps  %.2fx\n", res.Batch.PPS, res.Batch.Speedup)
 	fmt.Printf("  single+tel  %12.0f pps  %+.1f%%\n", res.SingleTelemetry.PPS, res.TelemetryDelta)
-	for _, lr := range res.Lanes {
-		fmt.Printf("  lanes=%-6d %12.0f pps  %.2fx\n", lr.Lanes, lr.PPS, lr.Speedup)
-	}
-	if mc := res.Multicore; mc != nil {
-		for _, lr := range mc.Lanes {
-			fmt.Printf("  mc lanes=%-3d %12.0f pps  %.2fx vs 1 lane (GOMAXPROCS=%d, numcpu=%d)\n",
-				lr.Lanes, lr.PPS, lr.SpeedupVs1, mc.GoMaxProcs, mc.NumCPU)
-		}
-		fmt.Printf("  mc scaling   %.2f speedup/lane at 4 lanes\n", mc.ScalingEfficiency)
-	}
 	if res.Fabric.PPS > 0 {
 		fmt.Printf("  fabric      %12.0f rtts %.4fx, %.1f allocs/GET (%d switches)\n",
-			res.Fabric.PPS, res.Fabric.Speedup, res.Fabric.AllocsPerOp, res.Fabric.Lanes)
+			res.Fabric.PPS, res.Fabric.Speedup, res.Fabric.AllocsPerOp, res.Fabric.Switches)
 	}
 	fmt.Printf("  defrag      frag %.4f -> %.4f, %d migrations, %d blocks, %d words\n",
 		res.Defrag.FragBefore, res.Defrag.FragAfter,
@@ -125,9 +111,7 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 		trials = 1
 	}
 
-	// Lanes are informational in the gate (GOMAXPROCS-dependent); measure
-	// one lane count only to keep the run short.
-	cur, err := bestOf(trials, packets, []int{1})
+	cur, err := bestOf(trials, packets)
 	if err != nil {
 		return err
 	}
@@ -143,7 +127,7 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 
 	fmt.Printf("benchdiff: best of %d trial(s) vs %s (tolerance %.0f%%)\n", trials, baselinePath, tolerance)
 	fmt.Printf("  %-14s %14s %14s %9s\n", "series", "baseline pps", "current pps", "ratio")
-	row := func(name string, b, c experiments.LaneRate) {
+	row := func(name string, b, c experiments.Rate) {
 		ratio := 0.0
 		if b.PPS > 0 {
 			ratio = c.PPS / b.PPS
@@ -151,23 +135,12 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 		fmt.Printf("  %-14s %14.0f %14.0f %8.2fx\n", name, b.PPS, c.PPS, ratio)
 	}
 	row("single", base.Single, cur.Single)
-	row("batch", base.Batch, cur.Batch)
 	row("single+tel", base.SingleTelemetry, cur.SingleTelemetry)
 	row("fabric", base.Fabric, cur.Fabric)
-	fmt.Printf("  %-14s baseline %.2fx   current %.2fx\n",
-		"batch speedup", base.Batch.Speedup, cur.Batch.Speedup)
 	fmt.Printf("  %-14s baseline %.1f   current %.1f\n",
 		"fabric allocs", base.Fabric.AllocsPerOp, cur.Fabric.AllocsPerOp)
 	fmt.Printf("  %-14s baseline %+.1f%%   current %+.1f%%\n",
 		"telemetry", base.TelemetryDelta, cur.TelemetryDelta)
-	if mc := cur.Multicore; mc != nil {
-		for _, lr := range mc.Lanes {
-			fmt.Printf("  %-14s %14s %14.0f %8.2fx vs 1 lane\n",
-				fmt.Sprintf("mc lanes=%d", lr.Lanes), "-", lr.PPS, lr.SpeedupVs1)
-		}
-		fmt.Printf("  %-14s current %.2f speedup/lane at 4 lanes (GOMAXPROCS=%d, numcpu=%d)\n",
-			"mc scaling", mc.ScalingEfficiency, mc.GoMaxProcs, mc.NumCPU)
-	}
 	fmt.Printf("  %-14s baseline %.4f->%.4f (%d migrations)   current %.4f->%.4f (%d migrations, %d blocks)\n",
 		"defrag", base.Defrag.FragBefore, base.Defrag.FragAfter, base.Defrag.Migrations,
 		cur.Defrag.FragBefore, cur.Defrag.FragAfter, cur.Defrag.Migrations, cur.Defrag.BlocksMoved)
@@ -191,46 +164,8 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 		fail("fabric allocations %.1f/GET above the hard %.0f gate", cur.Fabric.AllocsPerOp, maxFabricAllocs)
 	}
 
-	// Multicore gates. The series must exist once the baseline carries one;
-	// the scaling claims (4-lane >= 2.5x 1-lane, >= 0.6 speedup per lane)
-	// are only testable on a host that actually has the cores — on smaller
-	// hosts the lanes time-slice one CPU and the measured series is recorded
-	// informationally instead of gated.
-	const minMulticoreSpeedup4 = 2.5
-	const minScalingEfficiency = 0.6
-	if base.Multicore != nil && cur.Multicore == nil {
-		fail("multicore series missing (baseline has one)")
-	}
-	if mc := cur.Multicore; mc != nil {
-		if mc.NumCPU >= 4 {
-			s4 := mc.SpeedupAtLanes(4)
-			if s4 < minMulticoreSpeedup4 {
-				fail("multicore 4-lane speedup %.2fx below the hard %.1fx gate", s4, minMulticoreSpeedup4)
-			}
-			if mc.ScalingEfficiency < minScalingEfficiency {
-				fail("multicore scaling efficiency %.2f below the hard %.2f gate",
-					mc.ScalingEfficiency, minScalingEfficiency)
-			}
-			if bm := base.Multicore; bm != nil && bm.NumCPU >= 4 {
-				if bs4 := bm.SpeedupAtLanes(4); bs4 > 0 && s4 < bs4*(1-tolerance/100) {
-					fail("multicore 4-lane speedup %.2fx regressed >%.0f%% from baseline %.2fx",
-						s4, tolerance, bs4)
-				}
-			}
-		} else {
-			fmt.Printf("  %-14s scaling gate skipped: numcpu=%d < 4 (series recorded informationally)\n",
-				"multicore", mc.NumCPU)
-		}
-	}
-
-	// Baseline gates: ratios must not regress past the noise bound. A
-	// baseline without a batch entry (pre-batch) only contributes its
-	// telemetry gate.
+	// Baseline gates: ratios must not regress past the noise bound.
 	slack := 1 - tolerance/100
-	if base.Batch.Speedup > 0 && cur.Batch.Speedup < base.Batch.Speedup*slack {
-		fail("batch speedup %.2fx regressed >%.0f%% from baseline %.2fx",
-			cur.Batch.Speedup, tolerance, base.Batch.Speedup)
-	}
 	// The fabric series gates on its ratio to the single-capsule series: a
 	// relay-path or multi-hop regression shows up here even when raw pps
 	// moves with the host. Absent from pre-fabric baselines (Speedup 0).
@@ -292,13 +227,12 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 	}
 
 	if absolute {
-		abs := func(name string, b, c experiments.LaneRate) {
+		abs := func(name string, b, c experiments.Rate) {
 			if b.PPS > 0 && c.PPS < b.PPS*slack {
 				fail("%s %0.f pps regressed >%.0f%% from baseline %.0f pps", name, c.PPS, tolerance, b.PPS)
 			}
 		}
 		abs("single", base.Single, cur.Single)
-		abs("batch", base.Batch, cur.Batch)
 		abs("single+tel", base.SingleTelemetry, cur.SingleTelemetry)
 	}
 
@@ -314,79 +248,41 @@ func run(baselinePath string, trials, packets int, tolerance float64, absolute b
 
 // bestOf runs the harness `trials` times and merges the results: each series
 // keeps its fastest observed pps (one-sided scheduler noise filtered), while
-// the gated ratios — speedups and the telemetry delta — and the allocations
-// per fabric GET are the MEDIAN of the per-trial values. Per-trial ratios pair numerator and denominator measured
-// seconds apart (correlated host noise cancels), and the median is robust to
-// a single trial landing on a throttled slice; a max-over-trials ratio would
-// instead inflate whenever the denominator's max failed to converge.
-func bestOf(trials, packets int, lanes []int) (*experiments.PipelineBench, error) {
+// the gated ratios — the fabric ratio and the telemetry delta — and the
+// allocations per fabric GET are the MEDIAN of the per-trial values.
+// Per-trial ratios pair numerator and denominator measured seconds apart
+// (correlated host noise cancels), and the median is robust to a single
+// trial landing on a throttled slice; a max-over-trials ratio would instead
+// inflate whenever the denominator's max failed to converge.
+func bestOf(trials, packets int) (*experiments.PipelineBench, error) {
 	var merged *experiments.PipelineBench
-	var batchUps, telUps, telDeltas, fabricUps, fabricAllocs, mcEffs []float64
-	laneUps := map[int][]float64{}
-	mcUps := map[int][]float64{}
+	var telUps, telDeltas, fabricUps, fabricAllocs []float64
 	for i := 0; i < trials; i++ {
-		res, err := experiments.RunPipelineBench(experiments.PipelineBenchConfig{
-			Packets: packets,
-			Lanes:   lanes,
-		})
+		res, err := experiments.RunPipelineBench(experiments.PipelineBenchConfig{Packets: packets})
 		if err != nil {
 			return nil, err
 		}
-		batchUps = append(batchUps, res.Batch.Speedup)
 		telUps = append(telUps, res.SingleTelemetry.Speedup)
 		telDeltas = append(telDeltas, res.TelemetryDelta)
 		fabricUps = append(fabricUps, res.Fabric.Speedup)
 		fabricAllocs = append(fabricAllocs, res.Fabric.AllocsPerOp)
-		for j, lr := range res.Lanes {
-			laneUps[j] = append(laneUps[j], lr.Speedup)
-		}
-		if res.Multicore != nil {
-			mcEffs = append(mcEffs, res.Multicore.ScalingEfficiency)
-			for j, lr := range res.Multicore.Lanes {
-				mcUps[j] = append(mcUps[j], lr.SpeedupVs1)
-			}
-		}
 		if merged == nil {
 			merged = res
 			continue
 		}
-		keep := func(dst, src *experiments.LaneRate) {
+		keep := func(dst, src *experiments.Rate) {
 			if src.PPS > dst.PPS {
 				*dst = *src
 			}
 		}
 		keep(&merged.Single, &res.Single)
-		keep(&merged.Batch, &res.Batch)
 		keep(&merged.SingleTelemetry, &res.SingleTelemetry)
 		keep(&merged.Fabric, &res.Fabric)
-		for j := range merged.Lanes {
-			if j < len(res.Lanes) {
-				keep(&merged.Lanes[j], &res.Lanes[j])
-			}
-		}
-		if merged.Multicore != nil && res.Multicore != nil {
-			for j := range merged.Multicore.Lanes {
-				if j < len(res.Multicore.Lanes) && res.Multicore.Lanes[j].PPS > merged.Multicore.Lanes[j].PPS {
-					merged.Multicore.Lanes[j] = res.Multicore.Lanes[j]
-				}
-			}
-		}
 	}
-	merged.Batch.Speedup = median(batchUps)
 	merged.SingleTelemetry.Speedup = median(telUps)
 	merged.TelemetryDelta = median(telDeltas)
 	merged.Fabric.Speedup = median(fabricUps)
 	merged.Fabric.AllocsPerOp = median(fabricAllocs)
-	for j := range merged.Lanes {
-		merged.Lanes[j].Speedup = median(laneUps[j])
-	}
-	if mc := merged.Multicore; mc != nil {
-		for j := range mc.Lanes {
-			mc.Lanes[j].SpeedupVs1 = median(mcUps[j])
-			mc.Lanes[j].PerLanePPS = mc.Lanes[j].PPS / float64(mc.Lanes[j].Lanes)
-		}
-		mc.ScalingEfficiency = median(mcEffs)
-	}
 	return merged, nil
 }
 

@@ -135,11 +135,7 @@ func (s *System) Execute(d *Deployment, args [4]uint32, flags uint16) []*runtime
 		Program: d.Program,
 	}
 	a.Header.SetType(packet.TypeProgram)
-	s.RT.BindSink(s.sink)
 	s.RT.ExecuteCapsule(a, s.res, s.sink)
-	s.sink.Path.FlushInto(s.RT)
-	s.sink.Dev.FlushInto(s.RT.Device())
-	s.RT.DeliverEvents(s.sink)
 	outs := make([]*runtime.Output, len(s.res.Outputs))
 	for i, o := range s.res.Outputs {
 		outs[i] = copyOutput(o)

@@ -28,9 +28,20 @@ type RunConfig struct {
 type Result struct {
 	ID      string
 	Title   string
-	CSV     string            // the figure's data series
-	Notes   []string          // shape observations (capacities, convergence)
+	CSV     string             // the figure's data series
+	Notes   []string           // shape observations (capacities, convergence)
 	Metrics map[string]float64 // headline numbers for EXPERIMENTS.md
+}
+
+// MetricKeys returns the Metrics names in sorted order, so printed metrics
+// are byte-reproducible run to run.
+func (r *Result) MetricKeys() []string {
+	keys := make([]string, 0, len(r.Metrics))
+	for k := range r.Metrics {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Spec registers an experiment.
@@ -39,6 +50,11 @@ type Spec struct {
 	Title string
 	Paper string // what the paper reports (the shape to reproduce)
 	Run   func(cfg RunConfig) (*Result, error)
+
+	// WallClock marks experiments whose CSV and metrics carry host
+	// wall-clock measurements, so their values differ run to run; every
+	// other experiment is byte-reproducible from its seed.
+	WallClock bool
 }
 
 // Registry lists every experiment in figure order.

@@ -26,25 +26,24 @@ import (
 const fabricBenchFlight = 64
 
 // RunFabricBench measures `packets` cache GETs through a 2x1 fabric and
-// returns the rate and allocations per GET as a LaneRate (Lanes carries the
-// switch count).
-func RunFabricBench(packets int) (LaneRate, error) {
+// returns the rate, allocations per GET and switch count.
+func RunFabricBench(packets int) (Rate, error) {
 	f, err := fabric.New(fabric.DefaultConfig(2, 1))
 	if err != nil {
-		return LaneRate{}, err
+		return Rate{}, err
 	}
 	fc := fabric.NewController(f)
 	srvMAC, srvIP := f.NewHostID()
 	srv := apps.NewKVServer(f.Eng, srvMAC, srvIP)
 	sp, err := f.AttachHost(1, srv, srvMAC)
 	if err != nil {
-		return LaneRate{}, err
+		return Rate{}, err
 	}
 	srv.Attach(sp)
 
 	cc, err := fabric.NewCoherentCache(fc, 1, []int{0, 1}, srvMAC, srvIP)
 	if err != nil {
-		return LaneRate{}, err
+		return Rate{}, err
 	}
 
 	const nkeys = 1024
@@ -57,7 +56,7 @@ func RunFabricBench(packets int) (LaneRate, error) {
 		srv.Store[apps.KeyOf(k0, k1)] = v
 	}
 	if err := cc.Warm(0, objs); err != nil {
-		return LaneRate{}, err
+		return Rate{}, err
 	}
 	f.RunFor(100 * time.Millisecond)
 
@@ -84,27 +83,27 @@ func RunFabricBench(packets int) (LaneRate, error) {
 	}
 	// Warm the program caches and scratch state out of the window.
 	if err := run(2 * fabricBenchFlight); err != nil {
-		return LaneRate{}, err
+		return Rate{}, err
 	}
 	want := done + packets
 	var m0, m1 gort.MemStats
 	gort.ReadMemStats(&m0)
 	start := time.Now()
 	if err := run(packets); err != nil {
-		return LaneRate{}, err
+		return Rate{}, err
 	}
 	el := time.Since(start)
 	gort.ReadMemStats(&m1)
 	if done < want {
-		return LaneRate{}, fmt.Errorf("fabric bench: %d of %d GETs unanswered", want-done, packets)
+		return Rate{}, fmt.Errorf("fabric bench: %d of %d GETs unanswered", want-done, packets)
 	}
-	return LaneRate{
-		Lanes:   len(f.Nodes()),
+	return Rate{
 		Packets: packets,
 		Seconds: el.Seconds(),
 		PPS:     float64(packets) / el.Seconds(),
 		Speedup: 1,
 
 		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(packets),
+		Switches:    len(f.Nodes()),
 	}, nil
 }

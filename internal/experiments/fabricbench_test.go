@@ -13,7 +13,7 @@ func TestFabricBenchSmoke(t *testing.T) {
 	if lr.PPS <= 0 {
 		t.Fatalf("fabric bench rate %v", lr.PPS)
 	}
-	if lr.Lanes != 3 {
-		t.Fatalf("fabric bench ran on %d switches, want 3 (2 leaves + 1 spine)", lr.Lanes)
+	if lr.Switches != 3 {
+		t.Fatalf("fabric bench ran on %d switches, want 3 (2 leaves + 1 spine)", lr.Switches)
 	}
 }

@@ -22,6 +22,8 @@ func init() {
 		Title: "Allocation time vs. block granularity",
 		Paper: "Total control-plane allocation time for 100 arrivals at 512B-4KB granularity, most-constrained: the finer the granularity the more complex the allocation; the impact varies across application mixes.",
 		Run:   runFig12,
+
+		WallClock: true,
 	})
 }
 

@@ -16,12 +16,16 @@ func init() {
 		Title: "Control-plane allocation time, pure workloads",
 		Paper: "Allocation time per arrival for 500 instances of cache/HH/LB under most- and least-constrained policies; time collapses when placements start failing; HH exhausts after ~23 (mc) / ~57 (lc) instances, LB after ~368 (mc).",
 		Run:   runFig5a,
+
+		WallClock: true,
 	})
 	register(Spec{
 		ID:    "fig5b",
 		Title: "Control-plane allocation time, mixed workload",
 		Paper: "Uniformly mixed arrivals, 10 trials, EWMA alpha=0.1: inelastic apps stop fitting after ~50-150 arrivals, after which only (cheap) cache placements and failures remain.",
 		Run:   runFig5b,
+
+		WallClock: true,
 	})
 	register(Spec{
 		ID:    "fig6",

@@ -10,23 +10,24 @@ import (
 	"activermt/internal/isa"
 	"activermt/internal/packet"
 	art "activermt/internal/runtime"
+	"activermt/internal/stats"
 	"activermt/internal/telemetry"
 )
 
 // This file is the packet-path throughput harness behind `activebench
-// -lanes N`: it measures raw capsule executions per second — the
-// single-capsule path the switch runs, its batched form, and the multi-lane
-// dataplane — on a multi-tenant cache workload. Unlike the
-// figure experiments it measures wall-clock, not virtual time, so it is not
-// in the Registry; the result goes to BENCH_pipeline.json for regression
-// tracking (see `make benchdiff`).
+// -pipeline`: it measures raw capsule executions per second through
+// ExecuteCapsule — the path the switch runs, accounting drain included — on
+// a multi-tenant cache workload, bare and with telemetry attached, plus the
+// end-to-end fabric, defrag and secapps series. Unlike the figure
+// experiments it measures wall-clock, not virtual time, so it is not in the
+// Registry; the result goes to BENCH_pipeline.json for regression tracking
+// (see `make benchdiff`).
 
 // PipelineBenchConfig sizes the throughput run.
 type PipelineBenchConfig struct {
-	Tenants int   // cache tenants deployed (default 8)
-	Packets int   // capsules per measured run (default 200k)
-	Lanes   []int // lane counts to measure (default 1,2,4)
-	Ring    int   // pre-built capsules per tenant (default 64)
+	Tenants int // cache tenants deployed (default 8)
+	Packets int // capsules per measured run (default 200k)
+	Ring    int // pre-built capsules per tenant (default 64)
 
 	// FabricPackets sizes the leaf-spine end-to-end series (default
 	// Packets/50: each fabric GET is a full multi-hop simulation, orders of
@@ -34,68 +35,63 @@ type PipelineBenchConfig struct {
 	// series.
 	FabricPackets int
 
-	// MulticorePackets sizes the multi-core lane-scaling series (default
-	// Packets). Negative skips the series.
-	MulticorePackets int
-
 	// Registry, when non-nil, is attached for the telemetry-enabled run
 	// instead of a private one — activebench passes the registry it serves
 	// over HTTP so a live scrape observes the measured run.
 	Registry *telemetry.Registry
 }
 
-// LaneRate is one measured configuration. Lanes==0 denotes the
-// single-threaded ExecuteCapsule loop (no dispatch machinery at all).
-type LaneRate struct {
-	Lanes   int     `json:"lanes"`
+// Rate is one measured throughput series.
+type Rate struct {
 	Packets int     `json:"packets"`
 	Seconds float64 `json:"seconds"`
 	PPS     float64 `json:"pps"`
 	Speedup float64 `json:"speedup_vs_single"`
 
-	// AllocsPerOp is the heap allocations per packet (or per GET round
-	// trip) over the measured window; recorded by the fabric series.
+	// AllocsPerOp is the heap allocations per GET round trip over the
+	// measured window, and Switches the fabric's switch count; both are
+	// recorded by the fabric series only.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	Switches    int     `json:"switches,omitempty"`
 }
 
-// PipelineBench is the harness result, serialized to BENCH_pipeline.json.
-// Single is the single-threaded ExecuteCapsule loop (the path the switch
-// runs; every capsule executes its compiled plan), and Batch runs the same
-// loop through ExecuteBatch. SingleTelemetry repeats the Single measurement
-// with the full telemetry registry attached (counters, latency histogram,
-// flight recorder); TelemetryDelta is its overhead relative to Single — the
-// regression gate requires it to stay within 10%.
-type PipelineBench struct {
-	Tenants         int        `json:"tenants"`
-	Ring            int        `json:"ring_per_tenant"`
-	GoMaxProcs      int        `json:"gomaxprocs"`
-	NumCPU          int        `json:"numcpu"`
-	Single          LaneRate   `json:"single"`
-	Batch           LaneRate   `json:"batch"`
-	SingleTelemetry LaneRate   `json:"single_telemetry"`
-	TelemetryDelta  float64    `json:"telemetry_delta_pct"`
-	Lanes           []LaneRate `json:"lanes"`
+// pipelineRounds is the number of interleaved bare/telemetry chunk pairs a
+// harness run measures.
+const pipelineRounds = 20
 
-	// Multicore is the lane-scaling series measured under a multi-threaded
-	// scheduler (see RunMulticoreBench). Nil in pre-multicore baselines.
-	Multicore *MulticoreBench `json:"multicore,omitempty"`
+// PipelineBench is the harness result, serialized to BENCH_pipeline.json.
+// Single is the ExecuteCapsule loop (the path the switch runs; every
+// capsule executes its compiled plan and drains its counters).
+// SingleTelemetry repeats the Single measurement with the full telemetry
+// registry attached (per-FID latency histograms, flight recorder), in
+// chunks interleaved with Single's; TelemetryDelta is its overhead relative
+// to Single, the median of the per-chunk paired ratios — the regression gate
+// requires it to stay within 10%.
+type PipelineBench struct {
+	Tenants         int     `json:"tenants"`
+	Ring            int     `json:"ring_per_tenant"`
+	GoMaxProcs      int     `json:"gomaxprocs"`
+	NumCPU          int     `json:"numcpu"`
+	Single          Rate    `json:"single"`
+	SingleTelemetry Rate    `json:"single_telemetry"`
+	TelemetryDelta  float64 `json:"telemetry_delta_pct"`
 
 	// Fabric is the leaf-spine end-to-end series (RunFabricBench): GET
 	// round trips per wall second through a 2x1 fabric, with the heap
 	// allocations per GET. Its Speedup field is the ratio to Single — well
 	// below 1 by construction (a round trip simulates every hop), but stable
 	// on a given build, so the gate can catch relay-path regressions
-	// ratio-wise. Zero when the series was skipped (pre-fabric baselines).
-	Fabric LaneRate `json:"fabric,omitempty"`
+	// ratio-wise. Zero when the series was skipped.
+	Fabric Rate `json:"fabric,omitempty"`
 
 	// Defrag is the online-defragmentation series (RunDefragBench): a
 	// virtual-time churn + adaptive-policy migration run, deterministic per
-	// build. All zeros in pre-defrag baselines.
+	// build.
 	Defrag DefragStat `json:"defrag"`
 
 	// Secapps is the security-app quality series (RunSecappsBench):
 	// virtual-time deterministic detection, enforcement, and recirculation
-	// accounting. All zeros in pre-secapps baselines.
+	// accounting.
 	Secapps SecappsStat `json:"secapps"`
 }
 
@@ -158,7 +154,7 @@ func buildPipelineWorkload(cfg PipelineBenchConfig) (*core.System, []*packet.Act
 			ring = append(ring, a)
 		}
 	}
-	// Interleave tenants round-robin so lane dispatch sees a mixed stream.
+	// Interleave tenants round-robin so the executor sees a mixed stream.
 	mixed := make([]*packet.Active, 0, len(ring))
 	for k := 0; k < cfg.Ring; k++ {
 		for t := 0; t < cfg.Tenants; t++ {
@@ -175,41 +171,9 @@ func BuildPacketPathWorkload(tenants, ring int) (*core.System, []*packet.Active,
 	return buildPipelineWorkload(PipelineBenchConfig{Tenants: tenants, Ring: ring})
 }
 
-// measureLaneRun measures one lane count: fresh workload, warm-up pass,
-// then the timed dispatch of cfg.Packets through the SPSC rings (Stop —
-// which drains — is inside the window). Shared by the single-core lanes
-// series and the multi-core series; Speedup is left for the caller to fill
-// against its own baseline.
-func measureLaneRun(cfg PipelineBenchConfig, n int) (LaneRate, error) {
-	sys, ring, err := buildPipelineWorkload(cfg)
-	if err != nil {
-		return LaneRate{}, err
-	}
-	ln, err := sys.RT.NewLanes(n)
-	if err != nil {
-		return LaneRate{}, err
-	}
-	// Warm-up pass.
-	for i := 0; i < len(ring); i++ {
-		ln.Dispatch(ring[i], uint32(i))
-	}
-	ln.Quiesce()
-	start := time.Now()
-	for i := 0; i < cfg.Packets; i++ {
-		ln.Dispatch(ring[i%len(ring)], uint32(i))
-	}
-	ln.Stop()
-	el := time.Since(start)
-	return LaneRate{
-		Lanes:   n,
-		Packets: cfg.Packets,
-		Seconds: el.Seconds(),
-		PPS:     float64(cfg.Packets) / el.Seconds(),
-	}, nil
-}
-
-// RunPipelineBench measures the single-threaded fast path and each requested
-// lane count over the same pre-built capsule stream.
+// RunPipelineBench measures the ExecuteCapsule loop bare and with telemetry
+// on two identically built systems, then the fabric, defrag and secapps
+// series.
 func RunPipelineBench(cfg PipelineBenchConfig) (*PipelineBench, error) {
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 8
@@ -220,9 +184,6 @@ func RunPipelineBench(cfg PipelineBenchConfig) (*PipelineBench, error) {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 64
 	}
-	if len(cfg.Lanes) == 0 {
-		cfg.Lanes = []int{1, 2, 4}
-	}
 
 	res := &PipelineBench{
 		Tenants:    cfg.Tenants,
@@ -231,14 +192,16 @@ func RunPipelineBench(cfg PipelineBenchConfig) (*PipelineBench, error) {
 		NumCPU:     gort.NumCPU(),
 	}
 
-	// Single-threaded path: one ExecResult, one sink, no dispatch. Measured
-	// three ways — per capsule (the baseline all speedups are relative to),
-	// per capsule with the telemetry registry attached (so the
-	// instrumentation overhead is a first-class number), and batched.
-	singleRun := func(withTelemetry, batched bool) (LaneRate, error) {
+	// One ExecResult, one sink, one executor per system — the switch's
+	// shape — for a bare system and one with a telemetry registry attached,
+	// so the instrumentation overhead is a first-class number. The two run
+	// in interleaved chunks (alternating which goes first) and the overhead
+	// is the median of the per-round paired ratios: host noise that drifts
+	// over a run lands on both sides of every pair.
+	prepare := func(withTelemetry bool) (func(n int), error) {
 		sys, ring, err := buildPipelineWorkload(cfg)
 		if err != nil {
-			return LaneRate{}, err
+			return nil, err
 		}
 		if withTelemetry {
 			reg := cfg.Registry
@@ -249,76 +212,62 @@ func RunPipelineBench(cfg PipelineBenchConfig) (*PipelineBench, error) {
 		}
 		er := art.NewExecResult()
 		sink := sys.RT.NewExecSink()
+		next := 0
 		run := func(n int) {
-			if batched {
-				bs := art.DefaultExecBatch
-				for done := 0; done < n; done += bs {
-					off := done % len(ring)
-					end := off + bs
-					if end > len(ring) {
-						end = len(ring)
-					}
-					sys.RT.ExecuteBatch(ring[off:end], er, sink, nil)
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					sys.RT.ExecuteCapsule(ring[i%len(ring)], er, sink)
+			for i := 0; i < n; i++ {
+				sys.RT.ExecuteCapsule(ring[next], er, sink)
+				if next++; next == len(ring) {
+					next = 0
 				}
 			}
 		}
 		// Warm the scratch buffers (and the plan cache) out of the window.
 		run(len(ring))
+		return run, nil
+	}
+	bare, err := prepare(false)
+	if err != nil {
+		return nil, err
+	}
+	tel, err := prepare(true)
+	if err != nil {
+		return nil, err
+	}
+	chunk := cfg.Packets / pipelineRounds
+	if chunk < 1 {
+		chunk = 1
+	}
+	timed := func(run func(int)) time.Duration {
 		start := time.Now()
-		run(cfg.Packets)
-		el := time.Since(start)
-		sink.Path.FlushInto(sys.RT)
-		sink.Dev.FlushInto(sys.RT.Device())
-		return LaneRate{
-			Lanes:   0,
-			Packets: cfg.Packets,
-			Seconds: el.Seconds(),
-			PPS:     float64(cfg.Packets) / el.Seconds(),
-			Speedup: 1,
-		}, nil
+		run(chunk)
+		return time.Since(start)
 	}
-	var err error
-	if res.Single, err = singleRun(false, false); err != nil {
-		return nil, err
+	var bareT, telT time.Duration
+	ratios := make([]float64, 0, pipelineRounds)
+	for r := 0; r < pipelineRounds; r++ {
+		var b, t time.Duration
+		if r%2 == 0 {
+			b, t = timed(bare), timed(tel)
+		} else {
+			t, b = timed(tel), timed(bare)
+		}
+		bareT += b
+		telT += t
+		ratios = append(ratios, float64(t)/float64(b))
 	}
-	if res.Batch, err = singleRun(false, true); err != nil {
-		return nil, err
+	n := chunk * pipelineRounds
+	rate := func(el time.Duration) Rate {
+		return Rate{Packets: n, Seconds: el.Seconds(), PPS: float64(n) / el.Seconds(), Speedup: 1}
 	}
-	if res.SingleTelemetry, err = singleRun(true, false); err != nil {
-		return nil, err
-	}
-	res.Batch.Speedup = res.Batch.PPS / res.Single.PPS
+	res.Single, res.SingleTelemetry = rate(bareT), rate(telT)
 	res.SingleTelemetry.Speedup = res.SingleTelemetry.PPS / res.Single.PPS
-	res.TelemetryDelta = (res.Single.PPS/res.SingleTelemetry.PPS - 1) * 100
+	res.TelemetryDelta = (stats.Percentile(ratios, 50) - 1) * 100
 	// One-sided budget: attaching telemetry cannot make the path faster, so
 	// a negative delta is host noise, not a property of the build. Clamp at
 	// zero so the committed baseline and the ≤10% gate both read "within
 	// noise" instead of a spurious negative overhead.
 	if res.TelemetryDelta < 0 {
 		res.TelemetryDelta = 0
-	}
-
-	for _, n := range cfg.Lanes {
-		lr, err := measureLaneRun(cfg, n)
-		if err != nil {
-			return nil, err
-		}
-		lr.Speedup = lr.PPS / res.Single.PPS
-		res.Lanes = append(res.Lanes, lr)
-	}
-
-	if cfg.MulticorePackets >= 0 {
-		mcCfg := cfg
-		if cfg.MulticorePackets > 0 {
-			mcCfg.Packets = cfg.MulticorePackets
-		}
-		if res.Multicore, err = RunMulticoreBench(mcCfg); err != nil {
-			return nil, err
-		}
 	}
 
 	if cfg.FabricPackets >= 0 {

@@ -147,7 +147,7 @@ func RunSecappsBench(seed int64) (SecappsStat, error) {
 	tb.RunFor(10 * time.Millisecond)
 	st.HHClaims = hh.Claims
 	st.HHDeferred = hh.ClaimsDeferred
-	st.HHThrottled = tb.RT.RecircThrottled
+	st.HHThrottled = tb.RT.Counters().RecircThrottled.Value()
 	if led := tb.Guard.Tenant(claimFID); led != nil {
 		st.HHThrottled += led.Count(guard.KindRecircThrottled)
 	}

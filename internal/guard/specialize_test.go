@@ -44,9 +44,10 @@ func TestGuardDropsStaleEpochBeforeSpecializedExecution(t *testing.T) {
 	if !g.CheckProgram(a, 1) {
 		t.Fatal("fresh-epoch capsule refused")
 	}
+	ctr := rt.Counters()
 	rt.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
-		t.Fatalf("Specialized = %d, want 1", sink.Path.Specialized)
+	if got := ctr.ProgramsRun.Value(); got != 1 {
+		t.Fatalf("ProgramsRun = %d, want 1", got)
 	}
 	compiles := rt.PlanCompiles()
 	if compiles == 0 {
@@ -72,31 +73,28 @@ func TestGuardDropsStaleEpochBeforeSpecializedExecution(t *testing.T) {
 	// The re-granted capsule (fresh epoch echo) passes and executes against
 	// a plan recompiled under the new snapshot: address 3 is outside the
 	// moved region [64,128) and must now fault.
-	sink.Path = runtime.PathStats{}
 	fresh := memCapsule(fid, rt.Epoch(fid), 3)
 	if !g.CheckProgram(fresh, 1) {
 		t.Fatal("fresh-epoch capsule refused after re-grant")
 	}
 	rt.ExecuteCapsule(fresh, res, sink)
-	rt.DeliverEvents(sink)
-	if sink.Path.Specialized != 1 {
-		t.Fatal("re-granted capsule did not run specialized")
+	if ctr.ProgramsRun.Value() != 2 {
+		t.Fatal("re-granted capsule did not run its plan")
 	}
 	if rt.PlanCompiles() <= compiles {
 		t.Fatal("re-granted capsule did not recompile its plan")
 	}
-	if sink.Path.Faults != 1 || !res.Outputs[0].Dropped {
+	if ctr.Faults.Value() != 1 || !res.Outputs[0].Dropped {
 		t.Fatal("recompiled plan kept the pre-reallocation bounds")
 	}
 
 	// And an in-range address under the new grant succeeds specialized.
-	sink.Path = runtime.PathStats{}
 	ok := memCapsule(fid, rt.Epoch(fid), 70)
 	if !g.CheckProgram(ok, 1) {
 		t.Fatal("in-range capsule refused")
 	}
 	rt.ExecuteCapsule(ok, res, sink)
-	if sink.Path.Specialized != 1 || res.Outputs[0].Dropped {
+	if ctr.ProgramsRun.Value() != 3 || res.Outputs[0].Dropped {
 		t.Fatal("in-range capsule failed under the recompiled plan")
 	}
 }

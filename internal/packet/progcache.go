@@ -56,7 +56,7 @@ type cacheEntry struct {
 
 // ProgCache is a bounded decoded-program cache. It is safe for concurrent
 // use; in the simulator the ingress path is single-threaded, but the mutex
-// keeps the cache usable from multi-lane harnesses too.
+// keeps the cache safe for concurrent callers too.
 type ProgCache struct {
 	mu  sync.Mutex
 	max int

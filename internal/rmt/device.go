@@ -30,9 +30,6 @@ type Stage struct {
 	Registers *RegisterArray
 	Prot      *TCAM
 	xlate     map[uint16]Translate
-
-	// Executed counts instructions executed in this stage.
-	Executed uint64
 }
 
 // SetTranslate installs the translation entry for fid in this stage.
@@ -90,13 +87,11 @@ type Device struct {
 	view    atomic.Pointer[PipeView]
 	viewGen atomic.Uint64
 
-	// tel, when attached, receives the flushed counters and the latency
-	// histogram (see telemetry.go); nil keeps the device telemetry-free.
+	// ctr is the counter ledger, live from construction; tel holds the
+	// attach-only latency histogram and occupancy gauges (nil until a
+	// registry is attached). See telemetry.go.
+	ctr *Counters
 	tel *Telemetry
-
-	// Counters for the experiment harness. Written only by FlushInto /
-	// lane merges; see ExecStats.
-	PacketsIn, PacketsDropped, Recirculations uint64
 }
 
 // New constructs a device per cfg, validating architectural parameters.
@@ -107,7 +102,7 @@ func New(cfg Config) (*Device, error) {
 	if cfg.StageWords <= 0 || cfg.MaxPasses <= 0 {
 		return nil, fmt.Errorf("rmt: bad config %+v", cfg)
 	}
-	d := &Device{cfg: cfg, stages: make([]*Stage, cfg.NumStages)}
+	d := &Device{cfg: cfg, stages: make([]*Stage, cfg.NumStages), ctr: newCounters(cfg.NumStages)}
 	for i := range d.stages {
 		d.stages[i] = &Stage{
 			Registers: NewRegisterArray(cfg.StageWords),

@@ -264,11 +264,24 @@ func (d *Device) runPlan(pl *Plan, p *PHV, start, extraSlots int, st *ExecStats,
 	slots += extraSlots
 	p.StagesRun = slots
 	p.Passes = (slots + n - 1) / n
-	p.Latency = time.Duration(int64(slots) * pl.passLatNs / int64(n))
-	st.Lat.Observe(uint64(p.Latency))
+	p.Latency = slotLatency(slots, pl.passLatNs, n)
 	if p.Dropped {
 		st.PacketsDropped++
 	}
+}
+
+// MaxStagesRun bounds PHV.StagesRun: the recirculation limit plus one
+// extra pass for an RTS at egress and one for a FORK clone.
+func (d *Device) MaxStagesRun() int { return (d.cfg.MaxPasses + 2) * d.cfg.NumStages }
+
+// SlotLatency is the modeled latency of a packet that traversed slots stage
+// slots, as ExecPlan computes it.
+func (d *Device) SlotLatency(slots int) time.Duration {
+	return slotLatency(slots, d.cfg.PassLatency.Nanoseconds(), d.cfg.NumStages)
+}
+
+func slotLatency(slots int, passLatNs int64, n int) time.Duration {
+	return time.Duration(int64(slots) * passLatNs / int64(n))
 }
 
 // execPlanOp executes one resolved slot: the single definition of the

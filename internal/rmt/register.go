@@ -7,13 +7,13 @@ import (
 
 // RegisterArray is one stage's stateful SRAM: a flat array of 32-bit words
 // fronted by a stateful ALU. On a Tofino, register "externs" expose a small
-// set of per-packet micro-programs (register actions); the four the paper's
-// runtime defines appear here as Read/Write/Increment/MinReadInc (Section
-// 3.2 and Appendix A.4).
+// set of per-packet micro-programs (register actions); the plan executor
+// builds the paper's four (read, write, increment, min-read-increment;
+// Section 3.2 and Appendix A.4) from Get, Set and Add, and counts the
+// accesses in the device's Counters.
 //
-// Counters track data-plane accesses for the experiment harness; the
-// Snapshot and Restore methods model control-plane (BFRT-style) register
-// access used for state extraction.
+// The Snapshot and Restore methods model control-plane (BFRT-style)
+// register access used for state extraction.
 //
 // Every word carries a parity bit maintained on the write path, modeling
 // SRAM ECC: CorruptBit flips stored bits without updating the parity (a
@@ -24,8 +24,6 @@ type RegisterArray struct {
 	words  []uint32
 	parity []uint8 // one parity bit per word, maintained on writes
 
-	// Access counters (data-plane operations only).
-	Reads, Writes, Faults uint64
 	// CorruptionsInjected counts CorruptBit calls (fault-injection audit).
 	CorruptionsInjected uint64
 }
@@ -43,47 +41,16 @@ func (r *RegisterArray) InRange(addr uint32) bool { return int(addr) < len(r.wor
 
 func parityOf(v uint32) uint8 { return uint8(bits.OnesCount32(v) & 1) }
 
-// Read returns the word at addr.
-func (r *RegisterArray) Read(addr uint32) uint32 {
-	r.Reads++
-	return r.words[addr]
-}
-
-// Write stores v at addr.
-func (r *RegisterArray) Write(addr uint32, v uint32) {
-	r.Writes++
-	r.words[addr] = v
-	r.parity[addr] = parityOf(v)
-}
-
-// Increment adds delta to the word at addr and returns the new value.
-func (r *RegisterArray) Increment(addr uint32, delta uint32) uint32 {
-	r.Writes++
-	r.words[addr] += delta
-	r.parity[addr] = parityOf(r.words[addr])
-	return r.words[addr]
-}
-
-// Fault records a protection or bounds fault.
-func (r *RegisterArray) Fault() { r.Faults++ }
-
-// Get, Set, and Add are the non-counting variants of Read, Write, and
-// Increment. The packet hot path uses them together with an ExecStats sink
-// (see stats.go) so concurrent lanes never race on the shared access
-// counters; two lanes touching the same array always touch disjoint words
-// because tenants are pinned to block-aligned stripes.
-
-// Get returns the word at addr without counting the access.
+// Get returns the word at addr.
 func (r *RegisterArray) Get(addr uint32) uint32 { return r.words[addr] }
 
-// Set stores v at addr without counting the access.
+// Set stores v at addr.
 func (r *RegisterArray) Set(addr uint32, v uint32) {
 	r.words[addr] = v
 	r.parity[addr] = parityOf(v)
 }
 
-// Add adds delta to the word at addr and returns the new value, without
-// counting the access.
+// Add adds delta to the word at addr and returns the new value.
 func (r *RegisterArray) Add(addr uint32, delta uint32) uint32 {
 	r.words[addr] += delta
 	r.parity[addr] = parityOf(r.words[addr])

@@ -122,15 +122,12 @@ func TestRegisterArray(t *testing.T) {
 	if r.Len() != 16 || !r.InRange(15) || r.InRange(16) {
 		t.Fatal("bounds wrong")
 	}
-	r.Write(3, 42)
-	if got := r.Read(3); got != 42 {
-		t.Errorf("Read = %d", got)
+	r.Set(3, 42)
+	if got := r.Get(3); got != 42 {
+		t.Errorf("Get = %d", got)
 	}
-	if got := r.Increment(3, 5); got != 47 {
-		t.Errorf("Increment = %d", got)
-	}
-	if r.Reads != 1 || r.Writes != 2 {
-		t.Errorf("counters = %d reads / %d writes", r.Reads, r.Writes)
+	if got := r.Add(3, 5); got != 47 {
+		t.Errorf("Add = %d", got)
 	}
 	snap, err := r.Snapshot(2, 5)
 	if err != nil || len(snap) != 3 || snap[1] != 47 {
@@ -139,13 +136,13 @@ func TestRegisterArray(t *testing.T) {
 	if err := r.Restore(10, []uint32{7, 8}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Read(11) != 8 {
+	if r.Get(11) != 8 {
 		t.Error("Restore did not land")
 	}
 	if err := r.Zero(10, 12); err != nil {
 		t.Fatal(err)
 	}
-	if r.Read(10) != 0 || r.Read(11) != 0 {
+	if r.Get(10) != 0 || r.Get(11) != 0 {
 		t.Error("Zero did not clear")
 	}
 	// Bounds errors.
@@ -175,7 +172,7 @@ func testDevice(t *testing.T) *Device {
 }
 
 // run compiles prog against the device's published view and executes one
-// packet through the plan, flushing the counters into the device's fields.
+// packet through the plan, flushing the counters into the device's ledger.
 func run(d *Device, p *PHV, prog []isa.Instruction) *PlanOutputs {
 	return runMirrored(d, p, prog, nil)
 }
@@ -232,8 +229,8 @@ func TestExecRecirculation(t *testing.T) {
 	if p.Passes != 3 {
 		t.Errorf("Passes = %d, want 3", p.Passes)
 	}
-	if d.Recirculations != 2 {
-		t.Errorf("Recirculations = %d, want 2", d.Recirculations)
+	if got := d.Counters().Recirculations.Value(); got != 2 {
+		t.Errorf("Recirculations = %d, want 2", got)
 	}
 	if !p.Complete {
 		t.Error("implicit completion missing")
@@ -256,8 +253,8 @@ func TestExecRecirculationLimit(t *testing.T) {
 	if p.StagesRun != 40 {
 		t.Errorf("StagesRun = %d, want 40", p.StagesRun)
 	}
-	if d.PacketsDropped != 1 {
-		t.Errorf("PacketsDropped = %d", d.PacketsDropped)
+	if got := d.Counters().PacketsDropped.Value(); got != 1 {
+		t.Errorf("PacketsDropped = %d", got)
 	}
 }
 
@@ -348,8 +345,8 @@ func TestExecFork(t *testing.T) {
 	if outs.Exits[0] != 3 || outs.Exits[1] != 3 {
 		t.Errorf("exits = %v, want [3 3]", outs.Exits)
 	}
-	if clone.StagesRun != 3+20 || d.Recirculations != 1 {
-		t.Errorf("clone StagesRun = %d (want 23), recirculations = %d (want 1)", clone.StagesRun, d.Recirculations)
+	if got := d.Counters().Recirculations.Value(); clone.StagesRun != 3+20 || got != 1 {
+		t.Errorf("clone StagesRun = %d (want 23), recirculations = %d (want 1)", clone.StagesRun, got)
 	}
 }
 
@@ -404,8 +401,8 @@ func TestExecUninstalledOpcodeIsNoop(t *testing.T) {
 		t.Error("uninstalled opcodes should pass through")
 	}
 	for s := 0; s < 3; s++ {
-		if d.Stage(s).Executed != 0 {
-			t.Errorf("stage %d counted %d executions of a missing action", s, d.Stage(s).Executed)
+		if got := d.Counters().StageExecuted[s].Value(); got != 0 {
+			t.Errorf("stage %d counted %d executions of a missing action", s, got)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"activermt/internal/packet"
 	"activermt/internal/rmt"
 	"activermt/internal/secapps"
+	"activermt/internal/telemetry"
 )
 
 // Differential testing: a reference executor with independently written
@@ -375,22 +376,25 @@ func (e *refEnv) execute(a *packet.Active) []*Output {
 func (e *refEnv) checkAgainst(t *testing.T, r *Runtime) {
 	t.Helper()
 	c := &e.c
-	got := [...]uint64{r.ProgramsRun, r.Passthrough, r.Faults, r.QuarantineDrops, r.RevokedDrops, r.PrivSuppressed, r.SpecializedRuns}
-	want := [...]uint64{c.programsRun, c.passthrough, c.faults, c.quarantineDrops, c.revokedDrops, c.privSuppressed, c.programsRun}
+	rc := r.Counters()
+	got := [...]uint64{rc.ProgramsRun.Value(), rc.Passthrough.Value(), rc.Faults.Value(),
+		rc.QuarantineDrops.Value(), rc.RevokedDrops.Value(), rc.PrivSuppressed.Value()}
+	want := [...]uint64{c.programsRun, c.passthrough, c.faults, c.quarantineDrops, c.revokedDrops, c.privSuppressed}
 	if got != want {
-		t.Fatalf("runtime counters (run/pass/fault/quar/revoked/priv/plan) = %v, reference %v", got, want)
+		t.Fatalf("runtime counters (run/pass/fault/quar/revoked/priv) = %v, reference %v", got, want)
 	}
 	d := r.Device()
-	if d.PacketsIn != c.packetsIn || d.PacketsDropped != c.packetsDropped || d.Recirculations != c.recirculations {
+	dc := d.Counters()
+	if in, dropped, recirc := dc.PacketsIn.Value(), dc.PacketsDropped.Value(), dc.Recirculations.Value(); in != c.packetsIn || dropped != c.packetsDropped || recirc != c.recirculations {
 		t.Fatalf("device counters %d/%d/%d, reference %d/%d/%d",
-			d.PacketsIn, d.PacketsDropped, d.Recirculations, c.packetsIn, c.packetsDropped, c.recirculations)
+			in, dropped, recirc, c.packetsIn, c.packetsDropped, c.recirculations)
 	}
 	for s := 0; s < d.NumStages(); s++ {
 		st, ref := d.Stage(s), e.r.Device().Stage(s)
-		if st.Executed != c.stageExecuted[s] || st.Registers.Reads != c.regReads[s] ||
-			st.Registers.Writes != c.regWrites[s] || st.Registers.Faults != c.regFaults[s] {
+		exec, reads, writes, faults := dc.StageExecuted[s].Value(), dc.RegReads[s].Value(), dc.RegWrites[s].Value(), dc.RegFaults[s].Value()
+		if exec != c.stageExecuted[s] || reads != c.regReads[s] || writes != c.regWrites[s] || faults != c.regFaults[s] {
 			t.Fatalf("stage %d counters exec/read/write/fault %d/%d/%d/%d, reference %d/%d/%d/%d", s,
-				st.Executed, st.Registers.Reads, st.Registers.Writes, st.Registers.Faults,
+				exec, reads, writes, faults,
 				c.stageExecuted[s], c.regReads[s], c.regWrites[s], c.regFaults[s])
 		}
 		n := uint32(st.Registers.Len())
@@ -569,6 +573,10 @@ func fiveTuplePayload(rng *rand.Rand) []byte {
 func TestDifferentialPlanVsReference(t *testing.T) {
 	ri := testRuntime(t) // reference state
 	rs := testRuntime(t) // under test
+	// With telemetry attached every output's stage-slot count indexes the
+	// per-FID latency levels, so the fuzz also proves MaxStagesRun bounds
+	// StagesRun (an out-of-range index would panic).
+	rs.AttachTelemetry(telemetry.NewRegistry())
 	ref := newRefEnv(ri)
 	res, sink := NewExecResult(), rs.NewExecSink()
 	rng := rand.New(rand.NewSource(0xA11CE))
@@ -667,10 +675,11 @@ func TestDifferentialPlanVsReference(t *testing.T) {
 			}
 		}
 	}
-	if rs.SpecializedRuns == 0 || forks == 0 || mirrored == 0 {
-		t.Fatalf("fuzz stream too narrow: %d plan runs, %d clones, %d mirrored", rs.SpecializedRuns, forks, mirrored)
+	runs := rs.Counters().ProgramsRun.Value()
+	if runs == 0 || forks == 0 || mirrored == 0 {
+		t.Fatalf("fuzz stream too narrow: %d plan runs, %d clones, %d mirrored", runs, forks, mirrored)
 	}
-	t.Logf("%d plan runs, %d clones (%d mirrored)", rs.SpecializedRuns, forks, mirrored)
+	t.Logf("%d plan runs, %d clones (%d mirrored)", runs, forks, mirrored)
 	ref.checkAgainst(t, rs)
 }
 
@@ -730,7 +739,7 @@ func TestDifferentialRegisteredApps(t *testing.T) {
 			}
 		}
 	}
-	if rs.SpecializedRuns == 0 {
+	if rs.Counters().ProgramsRun.Value() == 0 {
 		t.Fatal("plan path never ran")
 	}
 	ref.checkAgainst(t, rs)

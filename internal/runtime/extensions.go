@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 
 	"activermt/internal/rmt"
@@ -52,7 +51,7 @@ func (r *Runtime) EnableRecircLimiter(p RecircPolicy, now func() time.Duration) 
 // whether the packet may enter the pipeline. Unlike the rest of the runtime
 // (which the single-threaded simulation engine serializes), the limiter is
 // safe to call from concurrent goroutines: bucket state is mutex-guarded
-// and the throttle counter is updated atomically, modeling the per-pipe
+// and the throttle counter is atomic, modeling the per-pipe
 // hardware meters that are consulted without control-plane coordination.
 func (r *Runtime) RecircAllowed(fid uint16, progLen int) bool {
 	if r.recirc == nil {
@@ -72,10 +71,7 @@ func (r *Runtime) RecircAllowed(fid uint16, progLen int) bool {
 	}
 	if st.tokens < extra {
 		r.recircMu.Unlock()
-		atomic.AddUint64(&r.RecircThrottled, 1)
-		if t := r.tel; t != nil {
-			t.RecircThrottled.Inc()
-		}
+		r.ctr.RecircThrottled.Inc()
 		return false
 	}
 	st.tokens -= extra
@@ -119,7 +115,7 @@ func (r *Runtime) SetPrivilege(fid uint16, mask uint8) {
 		r.privilege = make(map[uint16]uint8)
 	}
 	r.privilege[fid] = mask
-	r.TableOps++
+	r.addTableOps(1)
 	r.publish()
 }
 
@@ -133,14 +129,14 @@ func (r *Runtime) SetMirrorSession(fid uint16, session uint8, port uint32) {
 		r.mirror = make(map[uint32]uint32)
 	}
 	r.mirror[mirrorKey(fid, session)] = port
-	r.TableOps++
+	r.addTableOps(1)
 	r.publish()
 }
 
 // ClearMirrorSession removes a session.
 func (r *Runtime) ClearMirrorSession(fid uint16, session uint8) {
 	delete(r.mirror, mirrorKey(fid, session))
-	r.TableOps++
+	r.addTableOps(1)
 	r.publish()
 }
 

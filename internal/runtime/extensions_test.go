@@ -33,8 +33,8 @@ func TestRecircLimiterThrottles(t *testing.T) {
 	if !outs[0].Dropped {
 		t.Fatal("over-budget packet not dropped")
 	}
-	if r.RecircThrottled != 1 {
-		t.Errorf("throttled = %d", r.RecircThrottled)
+	if r.Counters().RecircThrottled.Value() != 1 {
+		t.Errorf("throttled = %d", r.Counters().RecircThrottled.Value())
 	}
 
 	// Short programs are never policed.
@@ -109,8 +109,8 @@ func TestRecircBudgetRemainingBoundary(t *testing.T) {
 	if outs := execProgram(r, progPacket(fid, long.Clone(), [4]uint32{})); !outs[0].Dropped {
 		t.Fatal("capsule admitted at remaining 0")
 	}
-	if r.RecircThrottled != 1 {
-		t.Fatalf("throttled = %d, want 1", r.RecircThrottled)
+	if r.Counters().RecircThrottled.Value() != 1 {
+		t.Fatalf("throttled = %d, want 1", r.Counters().RecircThrottled.Value())
 	}
 
 	// A cooperative caller that polls before sending never throttles: the
@@ -148,7 +148,7 @@ func TestPrivilegeGatesForwarding(t *testing.T) {
 	if outs[0].DstSet {
 		t.Fatal("unprivileged SET_DST took effect")
 	}
-	if r.PrivSuppressed == 0 {
+	if r.Counters().PrivSuppressed.Value() == 0 {
 		t.Error("suppression not counted")
 	}
 

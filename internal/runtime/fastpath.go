@@ -1,9 +1,6 @@
 package runtime
 
 import (
-	"sync"
-	"time"
-
 	"activermt/internal/isa"
 	"activermt/internal/packet"
 	"activermt/internal/rmt"
@@ -11,35 +8,36 @@ import (
 )
 
 // This file is the runtime's packet path: ExecuteCapsule is the only way a
-// capsule executes (the switch, the embedding facade, lanes, and the
-// benchmarks all call it or its batch form). It performs the admission
-// checks, fills the PHV, runs the capsule's compiled plan, and encodes the
-// outputs, and:
+// capsule executes (the switch, the embedding facade, and the benchmarks all
+// call it). It performs the admission checks, fills the PHV, runs the
+// capsule's compiled plan, encodes the outputs, and then drains the
+// capsule's accounting, so no caller repeats that step:
 //
 //   - all per-packet state lives in a reusable ExecResult (pooled PHV,
 //     pooled clone PHVs, pooled output capsules), so the steady-state loop
 //     performs zero heap allocations;
 //   - control state is read exclusively from the published snapshots
 //     (ctrlView + rmt.PipeView), never from the mutable builder maps;
-//   - counters accumulate into a caller-owned ExecSink and guard events are
-//     buffered there, so N lanes can execute concurrently and merge their
-//     accounting under a happens-before edge instead of racing.
+//   - runtime counters are telemetry handles incremented where the event
+//     happens; device counters accumulate in the sink's rmt.ExecStats and
+//     are flushed, and buffered guard events delivered, at the end of every
+//     ExecuteCapsule call.
 
-// GuardEventKind discriminates buffered guard notifications.
-type GuardEventKind uint8
+// guardEventKind discriminates buffered guard notifications.
+type guardEventKind uint8
 
 // Guard event kinds, mirroring the GuardHook methods.
 const (
-	GuardEventMemFault GuardEventKind = iota
-	GuardEventRecircThrottled
-	GuardEventRevokedDrop
+	guardEventMemFault guardEventKind = iota
+	guardEventRecircThrottled
+	guardEventRevokedDrop
 )
 
-// GuardEvent is one buffered GuardHook notification. Lanes deliver their
-// buffers on the dispatch thread (at Flush/Stop) so guard state — which is
-// not thread-safe — is only ever touched from one goroutine.
-type GuardEvent struct {
-	Kind  GuardEventKind
+// guardEvent is one buffered GuardHook notification. Events are buffered
+// while a capsule executes and delivered when it finishes, so the guard
+// never observes a half-executed capsule.
+type guardEvent struct {
+	Kind  guardEventKind
 	FID   uint16
 	Stage int
 	Addr  uint32
@@ -47,153 +45,50 @@ type GuardEvent struct {
 	Owned bool
 }
 
-// PathStats mirrors the Runtime's execution counters; the hot path counts
-// here and the owner flushes into the Runtime fields under exclusion.
-// Specialized counts plan executions, which since every admitted capsule
-// runs a plan equals ProgramsRun.
-// RecircThrottled is absent: RecircAllowed already updates it atomically.
-type PathStats struct {
-	ProgramsRun, Passthrough, Faults uint64
-	PrivSuppressed                   uint64
-	QuarantineDrops, RevokedDrops    uint64
-	Specialized                      uint64
-}
-
-// FlushInto drains the counters into the runtime's legacy fields (mirroring
-// into telemetry when attached) and resets them. Callers must hold exclusive
-// access to the runtime counters (single mode after each packet, or a lane
-// merge after a quiescent drain or worker join).
-func (s *PathStats) FlushInto(r *Runtime) {
-	if t := r.tel; t != nil {
-		s.flushTel(t)
-	}
-	s.flushLegacy(r)
-}
-
-// flushTel mirrors the counters into the shared telemetry counters without
-// resetting them. The counters are sharded atomics, so this half is safe
-// from a lane worker mid-stream; zero deltas are skipped so the per-capsule
-// flush stays a few atomic adds.
-func (s *PathStats) flushTel(t *Telemetry) {
-	if s.ProgramsRun != 0 {
-		t.ProgramsRun.Add(s.ProgramsRun)
-	}
-	if s.Passthrough != 0 {
-		t.Passthrough.Add(s.Passthrough)
-	}
-	if s.Faults != 0 {
-		t.Faults.Add(s.Faults)
-	}
-	if s.PrivSuppressed != 0 {
-		t.PrivSuppressed.Add(s.PrivSuppressed)
-	}
-	if s.QuarantineDrops != 0 {
-		t.QuarantineDrops.Add(s.QuarantineDrops)
-	}
-	if s.RevokedDrops != 0 {
-		t.RevokedDrops.Add(s.RevokedDrops)
-	}
-	if s.Specialized != 0 {
-		t.Specialized.Add(s.Specialized)
-	}
-}
-
-// flushLegacy drains the counters into the runtime's legacy fields and
-// resets them, with no telemetry mirror — the merge half for counts whose
-// telemetry was already mirrored mid-stream (lane carries). Exclusive access
-// to the runtime counters required.
-func (s *PathStats) flushLegacy(r *Runtime) {
-	r.ProgramsRun += s.ProgramsRun
-	r.Passthrough += s.Passthrough
-	r.Faults += s.Faults
-	r.PrivSuppressed += s.PrivSuppressed
-	r.QuarantineDrops += s.QuarantineDrops
-	r.RevokedDrops += s.RevokedDrops
-	r.SpecializedRuns += s.Specialized
-	*s = PathStats{}
-}
-
-// addInto adds the counters into dst without resetting s.
-func (s *PathStats) addInto(dst *PathStats) {
-	dst.ProgramsRun += s.ProgramsRun
-	dst.Passthrough += s.Passthrough
-	dst.Faults += s.Faults
-	dst.PrivSuppressed += s.PrivSuppressed
-	dst.QuarantineDrops += s.QuarantineDrops
-	dst.RevokedDrops += s.RevokedDrops
-	dst.Specialized += s.Specialized
-}
-
-// ExecSink is the per-executor accounting context: path counters, a device
-// counter sink, and buffered guard events. Each lane owns one; the switch
-// owns one and drains it after every capsule.
+// ExecSink is one executor's accounting context: the device counter
+// scratch, buffered guard events, and — with telemetry attached — the
+// executor's flight recorder. Single-writer:
+// each executor (the switch, the embedding facade, a benchmark loop) owns
+// one.
 type ExecSink struct {
-	Path   PathStats
-	Dev    *rmt.ExecStats
-	Events []GuardEvent
+	dev    *rmt.ExecStats
+	events []guardEvent
 
-	// FR is the executor's flight recorder (nil when telemetry is off).
-	// Single-writer like the rest of the sink; the scrape goroutine copies
-	// it out under the recorder's own mutex.
-	FR *telemetry.FlightRecorder
-
-	// lat is the bounded per-FID latency recorder (nil when telemetry is
-	// off). Only the batch path records into it — ExecuteBatch observes per
-	// packet and flushes once per batch — so the single-capsule path pays
-	// nothing for it.
-	lat *latVec
+	// fr is the executor's flight recorder (nil when telemetry is off); the
+	// scrape goroutine copies it out under the recorder's own mutex.
+	fr *telemetry.FlightRecorder
 }
 
-// NewExecSink returns a sink sized for the runtime's pipeline, bound to the
-// attached telemetry (if any; see BindSink).
+// NewExecSink returns a sink sized for the runtime's pipeline. The flight
+// recorder is bound on the sink's first capsule after a registry is
+// attached.
 func (r *Runtime) NewExecSink() *ExecSink {
-	s := &ExecSink{Dev: rmt.NewExecStats(r.dev.NumStages())}
-	r.BindSink(s)
-	return s
+	return &ExecSink{dev: rmt.NewExecStats(r.dev.NumStages())}
 }
 
-// BindSink gives a sink that has none the attached telemetry's recorders:
-// its own flight recorder under a fresh lane id and a per-FID latency
-// recorder for the batch path. A no-op without telemetry or when the sink is
-// already bound, so a long-lived executor calls it per capsule to pick up
-// telemetry attached after the sink was created. Sink owner only.
-func (r *Runtime) BindSink(s *ExecSink) {
+// bindSink gives a sink its own flight recorder under a fresh executor id.
+func (r *Runtime) bindSink(s *ExecSink) {
 	t := r.tel
-	if t == nil || s.FR != nil {
-		return
-	}
-	s.FR = telemetry.NewFlightRecorder(int(t.laneSeq.Add(1)), telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
-	t.reg.AttachFlight(s.FR)
-	s.lat = newLatVec(t.PacketLatFID)
+	s.fr = telemetry.NewFlightRecorder(int(t.execSeq.Add(1)), telemetry.DefaultFlightSize, telemetry.DefaultFlightPeriod)
+	t.reg.AttachFlight(s.fr)
 }
 
-// DeliverEvents replays the buffered guard events into the installed
-// GuardHook (single-threaded callers only) and clears the buffer.
-func (r *Runtime) DeliverEvents(sink *ExecSink) {
+// deliverEvents replays the buffered guard events into the installed
+// GuardHook and clears the buffer.
+func (r *Runtime) deliverEvents(sink *ExecSink) {
 	if r.guard != nil {
-		for _, ev := range sink.Events {
+		for _, ev := range sink.events {
 			switch ev.Kind {
-			case GuardEventMemFault:
+			case guardEventMemFault:
 				r.guard.MemFault(ev.FID, ev.Stage, ev.Addr, ev.Owner, ev.Owned)
-			case GuardEventRecircThrottled:
+			case guardEventRecircThrottled:
 				r.guard.RecircThrottled(ev.FID)
-			case GuardEventRevokedDrop:
+			case guardEventRevokedDrop:
 				r.guard.RevokedDrop(ev.FID)
 			}
 		}
 	}
-	sink.Events = sink.Events[:0]
-}
-
-// flightRefusal force-records a refused capsule into the sink's flight
-// recorder (refusals always record; the sampling clock still advances so
-// executed-capsule sampling stays uniform). The epoch lookup only happens
-// on refusal paths, never per clean packet.
-func (s *ExecSink) flightRefusal(cv *ctrlView, fid uint16, v telemetry.Verdict) {
-	if fr := s.FR; fr != nil {
-		fr.ShouldSample()
-		fr.Record(telemetry.FlightEntry{FID: fid, Epoch: cv.epochs[fid], Verdict: v})
-	}
+	sink.events = sink.events[:0]
 }
 
 // outSlot is one reusable output capsule: the Active, its Program, and the
@@ -227,19 +122,6 @@ func NewExecResult() *ExecResult {
 	return &ExecResult{phv: &rmt.PHV{}}
 }
 
-var execResultPool = sync.Pool{New: func() any { return NewExecResult() }}
-
-// GetExecResult takes an ExecResult from the package pool.
-func GetExecResult() *ExecResult { return execResultPool.Get().(*ExecResult) }
-
-// PutExecResult returns an ExecResult to the pool. The caller must not
-// retain any Output obtained from it.
-func PutExecResult(res *ExecResult) {
-	res.Outputs = res.Outputs[:0]
-	res.memo = [planMemoSize]planMemoEntry{} // drop plan references across owners
-	execResultPool.Put(res)
-}
-
 // slot returns reusable output slot i, growing the slot table on first use.
 func (res *ExecResult) slot(i int) *outSlot {
 	for len(res.slots) <= i {
@@ -252,33 +134,44 @@ func (res *ExecResult) slot(i int) *outSlot {
 func (res *ExecResult) addOutput(s *outSlot) { res.Outputs = append(res.Outputs, &s.out) }
 
 // ExecuteCapsule runs one program capsule through the pipeline with all
-// scratch state drawn from res and all accounting routed into sink, and
+// scratch state drawn from res and all accounting routed through sink, and
 // leaves the outputs (primary first, then FORK clones) in res.Outputs.
 // Programs whose FID was never admitted pass through unexecuted, exactly as
 // a table miss would behave on the real switch. Programs whose FID was
 // revoked — or is quarantined during a reallocation (FlagMemSync excepted),
 // or over its recirculation budget — hard-drop: a tenant stripped of its
 // grant must not retain pipeline access, and a deactivated tenant's packets
-// must not leak around the snapshot. Guard notifications are buffered in
-// the sink (DeliverEvents replays them).
+// must not leak around the snapshot.
 //
 // Admitted programs execute through the compiled plan cached for the
 // current snapshot pair, compiling it on first sight (see specialize.go).
 // Refused packets do not mutate the input capsule: the FlagFailed marking is
 // applied to the copied output capsule, so the input may be a pooled buffer
 // reused by the caller.
+//
+// Before returning, ExecuteCapsule drains the capsule's accounting: the
+// device counter scratch is flushed into the device's counters and buffered
+// guard events are delivered to the GuardHook. Every counter is therefore
+// current when the call returns.
 func (r *Runtime) ExecuteCapsule(a *packet.Active, res *ExecResult, sink *ExecSink) {
+	if r.tel != nil && sink.fr == nil {
+		// Telemetry may be attached after the sink was built.
+		r.bindSink(sink)
+	}
 	r.executeOne(a, res, sink, r.view(), r.dev.View(), r.planTab.Load())
+	sink.dev.FlushInto(r.dev)
+	if len(sink.events) != 0 {
+		r.deliverEvents(sink)
+	}
 }
 
-// executeOne is ExecuteCapsule against explicitly loaded snapshots, shared
-// by the single-packet and batch entry points.
+// executeOne is ExecuteCapsule against explicitly loaded snapshots, without
+// the accounting drain.
 func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, cv *ctrlView, pv *rmt.PipeView, tab *planTable) {
 	res.Outputs = res.Outputs[:0]
-	lat := r.passLat
 	if a.Program == nil {
 		s := res.slot(0)
-		s.out = Output{Active: a, Latency: lat}
+		s.out = Output{Active: a, Latency: r.passLat}
 		res.addOutput(s)
 		return
 	}
@@ -304,15 +197,11 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 		}
 		if pl != nil {
 			if pl.quarantined && a.Header.Flags&packet.FlagMemSync == 0 {
-				sink.Path.QuarantineDrops++
-				sink.flightRefusal(cv, fid, telemetry.VerdictQuarantined)
-				res.hardDrop(a, lat)
+				r.refuse(a, res, sink, cv, telemetry.VerdictQuarantined)
 				return
 			}
 			if !r.RecircAllowed(fid, a.Program.Len()) {
-				sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
-				sink.flightRefusal(cv, fid, telemetry.VerdictThrottled)
-				res.hardDrop(a, lat)
+				r.refuse(a, res, sink, cv, telemetry.VerdictThrottled)
 				return
 			}
 			r.execPlan(a, pl, res, sink, cv, fid)
@@ -320,34 +209,27 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 		}
 	}
 	if cv.revoked[fid] {
-		sink.Path.RevokedDrops++
-		sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRevokedDrop, FID: fid})
-		sink.flightRefusal(cv, fid, telemetry.VerdictRevoked)
-		res.hardDrop(a, lat)
+		r.refuse(a, res, sink, cv, telemetry.VerdictRevoked)
 		return
 	}
 	if !cv.admitted[fid] {
-		sink.Path.Passthrough++
-		if fr := sink.FR; fr != nil && fr.ShouldSample() {
+		r.ctr.Passthrough.Inc()
+		if fr := sink.fr; fr != nil && fr.ShouldSample() {
 			fr.Record(telemetry.FlightEntry{FID: fid, Verdict: telemetry.VerdictPassthrough})
 		}
 		s := res.slot(0)
-		s.out = Output{Active: a, Latency: lat}
+		s.out = Output{Active: a, Latency: r.passLat}
 		res.addOutput(s)
 		return
 	}
 	if cv.quarantined[fid] && a.Header.Flags&packet.FlagMemSync == 0 {
-		sink.Path.QuarantineDrops++
-		sink.flightRefusal(cv, fid, telemetry.VerdictQuarantined)
-		res.hardDrop(a, lat)
+		r.refuse(a, res, sink, cv, telemetry.VerdictQuarantined)
 		return
 	}
 	if !r.RecircAllowed(fid, a.Program.Len()) {
 		// The recirculation fairness controller polices bandwidth
 		// inflation (Section 7.2): over-budget programs are dropped.
-		sink.Events = append(sink.Events, GuardEvent{Kind: GuardEventRecircThrottled, FID: fid})
-		sink.flightRefusal(cv, fid, telemetry.VerdictThrottled)
-		res.hardDrop(a, lat)
+		r.refuse(a, res, sink, cv, telemetry.VerdictThrottled)
 		return
 	}
 	key := planKey{prog: a.Program, fid: fid}
@@ -365,15 +247,36 @@ func (r *Runtime) executeOne(a *packet.Active, res *ExecResult, sink *ExecSink, 
 	r.execPlan(a, pl, res, sink, cv, fid)
 }
 
-// hardDrop fills slot 0 with the dropped-with-FlagFailed output for packets
-// refused before execution. The input capsule is shallow-copied into the
-// slot and the failure flag set on the copy, so pooled inputs are never
-// mutated; the copy shares the input's Program and Payload, which is fine
-// for an output that is only read until the next ExecuteCapsule call.
-func (res *ExecResult) hardDrop(a *packet.Active, lat time.Duration) {
+// refuse hard-drops a capsule refused before execution with verdict v
+// (revoked, quarantined or throttled): it counts the refusal, buffers the
+// guard event, and force-records the capsule in the flight recorder
+// (refusals always record; the sampling clock still advances so
+// executed-capsule sampling stays uniform). The recirculation-throttle
+// count was already taken by RecircAllowed.
+//
+// The output is slot 0 with FlagFailed set. The input capsule is
+// shallow-copied into the slot and the flag set on the copy, so pooled
+// inputs are never mutated; the copy shares the input's Program and
+// Payload, which is fine for an output that is only read until the next
+// ExecuteCapsule call.
+func (r *Runtime) refuse(a *packet.Active, res *ExecResult, sink *ExecSink, cv *ctrlView, v telemetry.Verdict) {
+	fid := a.Header.FID
+	switch v {
+	case telemetry.VerdictQuarantined:
+		r.ctr.QuarantineDrops.Inc()
+	case telemetry.VerdictRevoked:
+		r.ctr.RevokedDrops.Inc()
+		sink.events = append(sink.events, guardEvent{Kind: guardEventRevokedDrop, FID: fid})
+	case telemetry.VerdictThrottled:
+		sink.events = append(sink.events, guardEvent{Kind: guardEventRecircThrottled, FID: fid})
+	}
+	if fr := sink.fr; fr != nil {
+		fr.ShouldSample()
+		fr.Record(telemetry.FlightEntry{FID: fid, Epoch: cv.epochs[fid], Verdict: v})
+	}
 	s := res.slot(0)
 	s.act = *a
 	s.act.Header.Flags |= packet.FlagFailed
-	s.out = Output{Active: &s.act, Dropped: true, Latency: lat}
+	s.out = Output{Active: &s.act, Dropped: true, Latency: r.passLat}
 	res.addOutput(s)
 }

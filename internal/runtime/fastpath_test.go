@@ -7,13 +7,10 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// execFast runs one capsule through the packet path and flushes the sink,
-// so counter state is comparable after every packet.
+// execFast runs one capsule through the packet path and returns its
+// outputs; counter state is current when it returns.
 func execFast(r *Runtime, a *packet.Active, res *ExecResult, sink *ExecSink) []*Output {
 	r.ExecuteCapsule(a, res, sink)
-	sink.Path.FlushInto(r)
-	sink.Dev.FlushInto(r.Device())
-	r.DeliverEvents(sink)
 	return res.Outputs
 }
 
@@ -103,7 +100,7 @@ func TestExecuteCapsuleMatchesReference(t *testing.T) {
 // path: once scratch buffers are warm, ExecuteCapsule must not allocate —
 // on the clean path and on the fault path (buffered events reuse their
 // capacity after delivery). The gate holds with telemetry both disabled and
-// enabled: sharded counter adds, local-histogram observes, and flight-ring
+// enabled: sharded counter adds, histogram observes, and flight-ring
 // records are all allocation-free by construction.
 func TestExecuteCapsuleZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
@@ -130,7 +127,6 @@ func TestExecuteCapsuleZeroAlloc(t *testing.T) {
 			for i := 0; i < 64; i++ { // warm scratch buffers and event capacity
 				r.ExecuteCapsule(clean, res, sink)
 				r.ExecuteCapsule(faulty, res, sink)
-				r.DeliverEvents(sink)
 			}
 			if avg := testing.AllocsPerRun(200, func() {
 				r.ExecuteCapsule(clean, res, sink)
@@ -139,34 +135,12 @@ func TestExecuteCapsuleZeroAlloc(t *testing.T) {
 			}
 			if avg := testing.AllocsPerRun(200, func() {
 				r.ExecuteCapsule(faulty, res, sink)
-				r.DeliverEvents(sink)
 			}); avg != 0 {
 				t.Fatalf("fault path allocates %.2f/op, want 0", avg)
 			}
-			if tc.telemetry && sink.FR != nil && sink.FR.Recorded() == 0 {
-				t.Fatal("telemetry enabled but the lane flight recorder saw no samples")
+			if tc.telemetry && (sink.fr == nil || sink.fr.Recorded() == 0) {
+				t.Fatal("telemetry enabled but the sink's flight recorder saw no samples")
 			}
 		})
 	}
-}
-
-// TestExecResultPoolRoundTrip exercises the package pool discipline.
-func TestExecResultPoolRoundTrip(t *testing.T) {
-	r := testRuntime(t)
-	installCacheGrant(t, r, 1, 0, 1024)
-	sink := r.NewExecSink()
-	a := progPacket(1, cacheQuery, [4]uint32{7, 9, 100, 0})
-	a.Header.Flags |= packet.FlagPreload
-
-	res := GetExecResult()
-	r.ExecuteCapsule(a, res, sink)
-	if len(res.Outputs) == 0 {
-		t.Fatal("no outputs")
-	}
-	PutExecResult(res)
-	res2 := GetExecResult()
-	if len(res2.Outputs) != 0 {
-		t.Fatal("pooled result returned with stale outputs")
-	}
-	PutExecResult(res2)
 }

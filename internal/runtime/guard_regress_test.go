@@ -28,11 +28,11 @@ func TestRevokedFIDHardDrops(t *testing.T) {
 	if outs[0].Active.Header.Flags&packet.FlagFailed == 0 {
 		t.Error("revoked drop must set FlagFailed")
 	}
-	if r.RevokedDrops != 1 {
-		t.Errorf("RevokedDrops = %d, want 1", r.RevokedDrops)
+	if r.Counters().RevokedDrops.Value() != 1 {
+		t.Errorf("RevokedDrops = %d, want 1", r.Counters().RevokedDrops.Value())
 	}
-	if r.Passthrough != 0 {
-		t.Errorf("Passthrough = %d, want 0 (revoked is not a table miss)", r.Passthrough)
+	if r.Counters().Passthrough.Value() != 0 {
+		t.Errorf("Passthrough = %d, want 0 (revoked is not a table miss)", r.Counters().Passthrough.Value())
 	}
 
 	// A fresh grant clears revocation: the FID executes again.
@@ -59,8 +59,8 @@ func TestQuarantineHardDropAndMemSync(t *testing.T) {
 	if outs[0].Active.Header.Flags&packet.FlagFailed == 0 {
 		t.Error("quarantine drop must set FlagFailed")
 	}
-	if r.QuarantineDrops != 1 {
-		t.Errorf("QuarantineDrops = %d, want 1", r.QuarantineDrops)
+	if r.Counters().QuarantineDrops.Value() != 1 {
+		t.Errorf("QuarantineDrops = %d, want 1", r.Counters().QuarantineDrops.Value())
 	}
 
 	// Extraction traffic still runs against the frozen snapshot.
@@ -76,8 +76,8 @@ func TestQuarantineHardDropAndMemSync(t *testing.T) {
 	if outs[0].Dropped {
 		t.Error("reactivated FID must execute")
 	}
-	if r.QuarantineDrops != 1 {
-		t.Errorf("QuarantineDrops = %d after reactivation, want still 1", r.QuarantineDrops)
+	if r.Counters().QuarantineDrops.Value() != 1 {
+		t.Errorf("QuarantineDrops = %d after reactivation, want still 1", r.Counters().QuarantineDrops.Value())
 	}
 }
 
@@ -116,8 +116,8 @@ func TestRecircAllowedConcurrent(t *testing.T) {
 		}
 	}
 	wantThrottled := uint64(fids * (callsPerFID - budget))
-	if r.RecircThrottled != wantThrottled {
-		t.Errorf("RecircThrottled = %d, want %d", r.RecircThrottled, wantThrottled)
+	if r.Counters().RecircThrottled.Value() != wantThrottled {
+		t.Errorf("RecircThrottled = %d, want %d", r.Counters().RecircThrottled.Value(), wantThrottled)
 	}
 
 	// Single-pass programs are never charged, even with the bucket empty.

@@ -79,25 +79,18 @@ type Runtime struct {
 	passLat time.Duration
 
 	// Plan state (see specialize.go): planTab is the published
-	// compiled-plan table for the current snapshot pair, planMu serializes
-	// plan inserts against table resets (and guards planGen, the last table
-	// generation issued), and planCompiles counts compilations.
-	planTab      atomic.Pointer[planTable]
-	planMu       sync.Mutex
-	planGen      uint64
-	planCompiles atomic.Uint64
+	// compiled-plan table for the current snapshot pair, and planMu
+	// serializes plan inserts against table resets (and guards planGen, the
+	// last table generation issued).
+	planTab atomic.Pointer[planTable]
+	planMu  sync.Mutex
+	planGen uint64
 
-	// Telemetry wiring (nil when disabled; see telemetry.go). telLanes
-	// exposes the active Lanes instance to the queue-depth gauge.
-	tel      *Telemetry
-	telLanes atomic.Pointer[Lanes]
-
-	// Stats for the experiment harness.
-	ProgramsRun, Passthrough, Faults uint64
-	RecircThrottled, PrivSuppressed  uint64
-	QuarantineDrops, RevokedDrops    uint64
-	SpecializedRuns                  uint64 // capsules executed through a compiled plan
-	TableOps                         uint64 // cumulative table update operations
+	// ctr is the counter ledger, live from construction; tel holds the
+	// attach-only gauges and recorders (nil when disabled). See
+	// telemetry.go.
+	ctr *Counters
+	tel *Telemetry
 }
 
 // GuardHook receives data-plane isolation events as they happen. The runtime
@@ -133,6 +126,7 @@ func New(cfg rmt.Config) (*Runtime, error) {
 		epochs:      make(map[uint16]uint8),
 		revoked:     make(map[uint16]bool),
 		passLat:     dev.Config().PassLatency,
+		ctr:         newCounters(),
 	}
 	r.publish()
 	return r, nil
@@ -181,7 +175,6 @@ func (r *Runtime) bumpEpoch(fid uint16) {
 // forward, unexecuted.
 func (r *Runtime) Deactivate(fid uint16) {
 	r.quarantined[fid] = true
-	r.TableOps++
 	r.addTableOps(1)
 	r.publish()
 }
@@ -189,7 +182,6 @@ func (r *Runtime) Deactivate(fid uint16) {
 // Reactivate resumes execution of fid's programs.
 func (r *Runtime) Reactivate(fid uint16) {
 	delete(r.quarantined, fid)
-	r.TableOps++
 	r.addTableOps(1)
 	r.publish()
 }
@@ -250,8 +242,7 @@ func (r *Runtime) InstallGrant(g Grant) (int, error) {
 	}
 	r.admitted[g.FID] = rec
 	r.bumpEpoch(g.FID)
-	r.TableOps += uint64(ops) + 1 // +1 for the admission gate entry
-	r.addTableOps(uint64(ops) + 1)
+	r.addTableOps(uint64(ops) + 1) // +1 for the admission gate entry
 	return ops + 1, nil
 }
 
@@ -274,7 +265,6 @@ func (r *Runtime) AdmitStateless(fid uint16) {
 	if _, ok := r.admitted[fid]; !ok {
 		r.admitted[fid] = &grantRecord{}
 		r.bumpEpoch(fid)
-		r.TableOps++
 		r.addTableOps(1)
 		r.publish()
 	}
@@ -291,7 +281,6 @@ func (r *Runtime) RemoveGrant(fid uint16) int {
 	delete(r.admitted, fid)
 	delete(r.quarantined, fid)
 	r.revoked[fid] = true
-	r.TableOps += uint64(ops)
 	r.addTableOps(uint64(ops))
 	r.dev.RebuildView()
 	r.publish()

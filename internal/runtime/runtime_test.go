@@ -27,15 +27,11 @@ func progPacket(fid uint16, p *isa.Program, args [4]uint32) *packet.Active {
 }
 
 // execProgram runs one capsule through ExecuteCapsule with fresh scratch
-// state, flushes its accounting into the runtime, delivers its guard events,
-// and returns deep copies of the outputs — the synchronous one-shot form the
-// unit tests use.
+// state and returns deep copies of the outputs — the synchronous one-shot
+// form the unit tests use.
 func execProgram(r *Runtime, a *packet.Active) []*Output {
 	res, sink := NewExecResult(), r.NewExecSink()
 	r.ExecuteCapsule(a, res, sink)
-	sink.Path.FlushInto(r)
-	sink.Dev.FlushInto(r.Device())
-	r.DeliverEvents(sink)
 	outs := make([]*Output, len(res.Outputs))
 	for i, o := range res.Outputs {
 		c := *o
@@ -88,9 +84,9 @@ func TestCacheQueryHitAndMiss(t *testing.T) {
 	// 4 (at addresses 100 and 101 — MEM_READ advances MAR), value in stage
 	// 8 (at address 102).
 	key0, key1, val := uint32(0xAAAA0001), uint32(0xBBBB0002), uint32(0xCAFED00D)
-	r.Device().Stage(1).Registers.Write(100, key0)
-	r.Device().Stage(4).Registers.Write(101, key1)
-	r.Device().Stage(8).Registers.Write(102, val)
+	r.Device().Stage(1).Registers.Set(100, key0)
+	r.Device().Stage(4).Registers.Set(101, key1)
+	r.Device().Stage(8).Registers.Set(102, val)
 
 	// Hit: matching key.
 	outs := execProgram(r, progPacket(fid, cacheQuery.Clone(), [4]uint32{key0, key1, 100, 0}))
@@ -136,11 +132,11 @@ func TestMemoryProtectionFault(t *testing.T) {
 	if outs[0].Active.Header.Flags&packet.FlagFailed == 0 {
 		t.Error("FlagFailed unset")
 	}
-	if r.Faults != 1 {
-		t.Errorf("Faults = %d, want 1", r.Faults)
+	if r.Counters().Faults.Value() != 1 {
+		t.Errorf("Faults = %d, want 1", r.Counters().Faults.Value())
 	}
-	if r.Device().Stage(1).Registers.Faults != 1 {
-		t.Errorf("stage fault counter = %d", r.Device().Stage(1).Registers.Faults)
+	if r.Device().Counters().RegFaults[1].Value() != 1 {
+		t.Errorf("stage fault counter = %d", r.Device().Counters().RegFaults[1].Value())
 	}
 }
 
@@ -167,8 +163,8 @@ func TestUnadmittedAndQuarantinedPassThrough(t *testing.T) {
 	if outs[0].Executed {
 		t.Fatal("unadmitted FID executed")
 	}
-	if r.Passthrough != 1 {
-		t.Errorf("Passthrough = %d", r.Passthrough)
+	if r.Counters().Passthrough.Value() != 1 {
+		t.Errorf("Passthrough = %d", r.Counters().Passthrough.Value())
 	}
 
 	installCacheGrant(t, r, 5, 0, 64)
@@ -189,9 +185,9 @@ func TestUnadmittedAndQuarantinedPassThrough(t *testing.T) {
 
 func TestInstallGrantZeroesRegion(t *testing.T) {
 	r := testRuntime(t)
-	r.Device().Stage(1).Registers.Write(10, 0xFFFF)
+	r.Device().Stage(1).Registers.Set(10, 0xFFFF)
 	installCacheGrant(t, r, 3, 0, 64)
-	if got := r.Device().Stage(1).Registers.Read(10); got != 0 {
+	if got := r.Device().Stage(1).Registers.Get(10); got != 0 {
 		t.Errorf("stale word %#x survived grant install", got)
 	}
 }
@@ -485,7 +481,7 @@ func TestPreloadReachesFirstStage(t *testing.T) {
 	if outs[0].Dropped {
 		t.Fatal("preloaded first-stage write dropped")
 	}
-	if got := r.Device().Stage(0).Registers.Read(130); got != 0xBEEF {
+	if got := r.Device().Stage(0).Registers.Get(130); got != 0xBEEF {
 		t.Errorf("stage-0 memory = %#x, want 0xBEEF", got)
 	}
 }

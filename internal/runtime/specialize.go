@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"strconv"
-
 	"activermt/internal/isa"
 	"activermt/internal/packet"
 	"activermt/internal/rmt"
@@ -58,6 +56,9 @@ type compiledPlan struct {
 	// set on some headers, forcing the output encoder onto its filtering
 	// slow path (those headers are shrunk too).
 	preMarked bool
+	// lat is the FID's packet-latency histogram (nil without telemetry);
+	// resolving it at compile time keeps label lookups off the hot path.
+	lat *telemetry.LevelHistogram
 }
 
 // planMemoSize is the per-ExecResult direct-mapped plan memo size (a power
@@ -102,7 +103,7 @@ func (r *Runtime) resetPlans(cv *ctrlView) {
 }
 
 // PlanCompiles returns the number of plan compilations performed.
-func (r *Runtime) PlanCompiles() uint64 { return r.planCompiles.Load() }
+func (r *Runtime) PlanCompiles() uint64 { return r.ctr.PlanCompiles.Value() }
 
 // compilePlan compiles key's program under tab's snapshot pair and caches
 // the result in a republished copy-on-write table. The caller has already
@@ -175,10 +176,10 @@ func (r *Runtime) buildPlan(cv *ctrlView, pv *rmt.PipeView, key planKey) *compil
 		return port, ok
 	}
 	cp.rp = r.dev.CompilePlan(key.fid, cp.instrs, pv, mirror)
-	r.planCompiles.Add(1)
 	if t := r.tel; t != nil {
-		t.PlanCompiles.Inc()
+		cp.lat = t.fidLatency(key.fid)
 	}
+	r.ctr.PlanCompiles.Inc()
 	return cp
 }
 
@@ -201,15 +202,16 @@ func (r *Runtime) execPlan(a *packet.Active, pl *compiledPlan, res *ExecResult, 
 		phv.TupleWords = tup.WordsArray()
 	}
 	outs := &res.devOuts
-	r.dev.ExecPlan(pl.rp, phv, sink.Dev, outs)
-	sink.Path.ProgramsRun++
-	sink.Path.Specialized++
-	sink.Path.PrivSuppressed += pl.suppressed
+	r.dev.ExecPlan(pl.rp, phv, sink.dev, outs)
+	r.ctr.ProgramsRun.Inc()
+	if pl.suppressed != 0 {
+		r.ctr.PrivSuppressed.Add(pl.suppressed)
+	}
 	for i, p := range outs.PHVs {
 		if p.Faulted {
-			sink.Path.Faults++
-			sink.Events = append(sink.Events, GuardEvent{
-				Kind: GuardEventMemFault, FID: fid,
+			r.ctr.Faults.Inc()
+			sink.events = append(sink.events, guardEvent{
+				Kind: guardEventMemFault, FID: fid,
 				Stage: p.FaultStage, Addr: p.FaultAddr,
 				Owner: p.FaultOwner, Owned: p.FaultOwned,
 			})
@@ -217,8 +219,11 @@ func (r *Runtime) execPlan(a *packet.Active, pl *compiledPlan, res *ExecResult, 
 		s := res.slot(i)
 		encodePlanOutput(a, p, pl, outs.Exits[i], s)
 		res.addOutput(s)
+		if pl.lat != nil {
+			pl.lat.Observe(p.StagesRun)
+		}
 	}
-	if fr := sink.FR; fr != nil {
+	if fr := sink.fr; fr != nil {
 		// The primary PHV describes the capsule's traversal.
 		forced := phv.Faulted || phv.Dropped
 		if fr.ShouldSample() || forced {
@@ -294,120 +299,5 @@ func encodePlanOutput(in *packet.Active, p *rmt.PHV, pl *compiledPlan, exit int,
 		Executed: true,
 		Latency:  p.Latency,
 		Passes:   p.Passes,
-	}
-}
-
-// DefaultExecBatch is the batch size ExecuteBatch callers should use: large
-// enough to amortize the snapshot loads and the per-FID latency flush,
-// small enough to keep per-packet output delivery prompt.
-const DefaultExecBatch = 32
-
-// ExecuteBatch runs a batch of capsules back to back against one loaded
-// snapshot triple (control view, pipeline view, plan table), amortizing the
-// atomic loads and the per-FID latency flush across the batch. Each
-// capsule's outputs are delivered to emit (when non-nil) immediately after
-// it executes and are invalid once the next capsule starts; emit must copy
-// anything it retains. Executed-capsule latencies are recorded into the
-// sink's per-FID recorder (telemetry only) and flushed once per batch.
-//
-// Snapshot semantics are per batch instead of per packet: a control commit
-// published mid-batch takes effect from the next batch, exactly as a commit
-// mid-packet takes effect from the next packet on the single path.
-func (r *Runtime) ExecuteBatch(batch []*packet.Active, res *ExecResult, sink *ExecSink, emit func(a *packet.Active, outs []*Output)) {
-	cv := r.view()
-	pv := r.dev.View()
-	tab := r.planTab.Load()
-	lv := sink.lat
-	for _, a := range batch {
-		r.executeOne(a, res, sink, cv, pv, tab)
-		if lv != nil {
-			if outs := res.Outputs; len(outs) != 0 && outs[0].Executed {
-				lv.observe(a.Header.FID, uint64(outs[0].Latency))
-			}
-		}
-		if emit != nil {
-			emit(a, res.Outputs)
-		}
-	}
-	if lv != nil {
-		lv.flush()
-	}
-}
-
-// latVecSlots is the per-sink cardinality bound of the per-FID latency
-// recorder: up to this many distinct FIDs get their own histogram child;
-// the rest fold into the "other" child.
-const latVecSlots = 64
-
-// latSlot is one FID's lane-local latency accumulator plus its memoized
-// registry child (resolved at flush time, then cached — so steady-state
-// flushes never touch the vec's mutex map or format a label).
-type latSlot struct {
-	fid  uint16
-	used bool
-	h    telemetry.HistLocal
-	dst  *telemetry.Histogram
-}
-
-// latVec accumulates per-FID packet latencies lane-locally with bounded
-// cardinality. observe is two plain stores plus an open-addressed probe (no
-// allocation, no atomics); flush — called once per batch — drains the
-// touched slots into the shared HistogramVec children.
-type latVec struct {
-	vec         *telemetry.HistogramVec
-	slots       [latVecSlots]latSlot
-	overflow    telemetry.HistLocal
-	overflowDst *telemetry.Histogram
-	touched     []*latSlot
-	overflowHot bool
-}
-
-func newLatVec(vec *telemetry.HistogramVec) *latVec {
-	return &latVec{vec: vec, touched: make([]*latSlot, 0, latVecSlots)}
-}
-
-// latProbes bounds the linear probe: FIDs that cannot claim a slot within
-// this many steps fold into the overflow child.
-const latProbes = 8
-
-func (lv *latVec) observe(fid uint16, lat uint64) {
-	i := int(uint32(fid)*2654435761>>26) & (latVecSlots - 1)
-	for p := 0; p < latProbes; p++ {
-		s := &lv.slots[(i+p)&(latVecSlots-1)]
-		if !s.used {
-			s.used = true
-			s.fid = fid
-		}
-		if s.fid == fid {
-			if s.h.Count == 0 {
-				lv.touched = append(lv.touched, s)
-			}
-			s.h.Observe(lat)
-			return
-		}
-	}
-	if lv.overflow.Count == 0 {
-		lv.overflowHot = true
-	}
-	lv.overflow.Observe(lat)
-}
-
-// flush drains every touched accumulator into its registry child. First
-// flush per FID resolves (and caches) the child handle; steady-state flushes
-// are HistLocal merges only.
-func (lv *latVec) flush() {
-	for _, s := range lv.touched {
-		if s.dst == nil {
-			s.dst = lv.vec.With(strconv.FormatUint(uint64(s.fid), 10))
-		}
-		s.h.FlushInto(s.dst)
-	}
-	lv.touched = lv.touched[:0]
-	if lv.overflowHot {
-		if lv.overflowDst == nil {
-			lv.overflowDst = lv.vec.With("other")
-		}
-		lv.overflow.FlushInto(lv.overflowDst)
-		lv.overflowHot = false
 	}
 }

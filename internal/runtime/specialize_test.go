@@ -7,59 +7,6 @@ import (
 	"activermt/internal/telemetry"
 )
 
-// batchWorkload builds a two-tenant batch of cache queries whose addresses
-// land inside each tenant's grant.
-func batchWorkload(t *testing.T, r *Runtime, n int) []*packet.Active {
-	t.Helper()
-	installCacheGrant(t, r, 1, 0, 1024)
-	installCacheGrant(t, r, 2, 1024, 2048)
-	batch := make([]*packet.Active, n)
-	for i := range batch {
-		fid := uint16(1 + i%2)
-		addr := uint32(100 + (i%2)*1024 + i)
-		a := progPacket(fid, cacheQuery, [4]uint32{uint32(i), uint32(i) ^ 0x5a5a, addr, 0})
-		a.Header.Flags |= packet.FlagPreload
-		batch[i] = a
-	}
-	return batch
-}
-
-// TestExecuteBatchZeroAlloc is the allocation gate for the batched hot path:
-// once plans are compiled and the per-FID latency slots are warm, a whole
-// ExecuteBatch call must not allocate — with telemetry both disabled and
-// enabled (the batch path is the only one recording per-FID latencies).
-func TestExecuteBatchZeroAlloc(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		telemetry bool
-	}{
-		{name: "bare", telemetry: false},
-		{name: "telemetry", telemetry: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := testRuntime(t)
-			if tc.telemetry {
-				r.AttachTelemetry(telemetry.NewRegistry())
-			}
-			batch := batchWorkload(t, r, DefaultExecBatch)
-			res := NewExecResult()
-			sink := r.NewExecSink()
-			for i := 0; i < 8; i++ { // warm scratch, plans, latency slots
-				r.ExecuteBatch(batch, res, sink, nil)
-				r.DeliverEvents(sink)
-			}
-			if avg := testing.AllocsPerRun(100, func() {
-				r.ExecuteBatch(batch, res, sink, nil)
-			}); avg != 0 {
-				t.Fatalf("batch path allocates %.2f/batch, want 0", avg)
-			}
-			if sink.Path.Specialized == 0 {
-				t.Fatal("batch never ran a compiled plan")
-			}
-		})
-	}
-}
-
 // TestPlanInvalidationOnGrantCommit proves a grant commit (epoch bump +
 // region move) evicts the compiled plan itself — not just the decoded
 // program — and that a superseded plan table can never execute a stale plan:
@@ -76,8 +23,8 @@ func TestPlanInvalidationOnGrantCommit(t *testing.T) {
 	a.Header.Flags |= packet.FlagPreload
 
 	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
-		t.Fatalf("first capsule: Specialized = %d, want 1", sink.Path.Specialized)
+	if got := r.Counters().ProgramsRun.Value(); got != 1 {
+		t.Fatalf("first capsule: ProgramsRun = %d, want 1", got)
 	}
 	if res.Outputs[0].Dropped {
 		t.Fatal("in-grant query dropped")
@@ -108,32 +55,30 @@ func TestPlanInvalidationOnGrantCommit(t *testing.T) {
 	// the pointer-identity check fails and a one-shot plan runs against the
 	// new snapshots, so address 100 — outside the moved grant — faults.
 	// Neither table caches the one-shot plan.
-	sink.Path = PathStats{}
+	faults := r.Counters().Faults
 	res2 := NewExecResult() // fresh memo: prove the table check alone suffices
 	r.executeOne(a, res2, sink, r.view(), r.dev.View(), tab1)
-	if !res2.Outputs[0].Dropped || sink.Path.Faults != 1 {
+	if !res2.Outputs[0].Dropped || faults.Value() != 1 {
 		t.Fatal("stale plan table executed its stale plan")
 	}
 	if len(tab1.plans) != 1 || len(r.planTab.Load().plans) != 0 {
 		t.Fatal("one-shot plan was cached")
 	}
-	r.DeliverEvents(sink)
+	r.deliverEvents(sink)
 
 	// The next packet through the normal entry recompiles under the new
 	// snapshots into the fresh table, and the recompiled plan carries the
 	// new bounds.
-	sink.Path = PathStats{}
 	r.ExecuteCapsule(a, res, sink)
-	if sink.Path.Specialized != 1 {
-		t.Fatal("no plan execution after recompilation")
+	if got := r.Counters().ProgramsRun.Value(); got != 3 {
+		t.Fatalf("ProgramsRun = %d after recompilation, want 3", got)
 	}
 	if r.PlanCompiles() != 3 || len(r.planTab.Load().plans) != 1 {
 		t.Fatalf("PlanCompiles = %d, want 3 (initial, one-shot, recompile)", r.PlanCompiles())
 	}
-	if !res.Outputs[0].Dropped || sink.Path.Faults != 1 {
+	if !res.Outputs[0].Dropped || faults.Value() != 2 {
 		t.Fatal("recompiled plan kept the stale grant bounds")
 	}
-	r.DeliverEvents(sink)
 }
 
 // TestPlanInvalidationOnQuarantineAndPrivilege pins the other two commit
@@ -162,19 +107,25 @@ func TestPlanInvalidationOnQuarantineAndPrivilege(t *testing.T) {
 	}
 }
 
-// TestPerFIDLatencyHistogram proves the batch path feeds the per-FID
-// latency family: after one batch over two tenants, the registry snapshot
-// carries a child per FID with the batch's packet counts, and the
-// passthrough capsule (unexecuted) is not recorded.
+// TestPerFIDLatencyHistogram proves ExecuteCapsule feeds the per-FID
+// latency family: after queries over two tenants, the registry snapshot
+// carries a child per FID with its packet count, and the passthrough
+// capsule (unexecuted) is not recorded.
 func TestPerFIDLatencyHistogram(t *testing.T) {
 	r := testRuntime(t)
 	reg := telemetry.NewRegistry()
 	r.AttachTelemetry(reg)
-	batch := batchWorkload(t, r, 8)
-	batch = append(batch, progPacket(9, cacheQuery, [4]uint32{})) // unadmitted
+	installCacheGrant(t, r, 1, 0, 1024)
+	installCacheGrant(t, r, 2, 1024, 2048)
 	res := NewExecResult()
 	sink := r.NewExecSink()
-	r.ExecuteBatch(batch, res, sink, nil)
+	for i := 0; i < 8; i++ {
+		fid := uint16(1 + i%2)
+		a := progPacket(fid, cacheQuery, [4]uint32{uint32(i), uint32(i) ^ 0x5a5a, uint32(100 + (i%2)*1024 + i), 0})
+		a.Header.Flags |= packet.FlagPreload
+		r.ExecuteCapsule(a, res, sink)
+	}
+	r.ExecuteCapsule(progPacket(9, cacheQuery, [4]uint32{}), res, sink) // unadmitted
 
 	counts := map[string]uint64{}
 	for _, m := range reg.Snapshot().Metrics {
@@ -195,21 +146,20 @@ func TestPerFIDLatencyHistogram(t *testing.T) {
 	}
 }
 
-// TestLatVecBoundedCardinality floods a recorder with far more FIDs than it
-// has slots and requires the overflow to fold into the "other" child while
-// total observation count is conserved.
+// TestLatVecBoundedCardinality floods the per-FID latency family with far
+// more FIDs than its bound and requires the overflow to fold into the
+// "other" child while total observation count is conserved.
 func TestLatVecBoundedCardinality(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	lv := newLatVec(reg.NewHistogramVec("test_lat_fid", "t", "fid"))
+	tel := testRuntime(t).AttachTelemetry(reg)
 	const fids = 500
 	for f := 0; f < fids; f++ {
-		lv.observe(uint16(f), uint64(10+f))
+		tel.fidLatency(uint16(f)).Observe(1)
 	}
-	lv.flush()
 
 	children, total, other := 0, uint64(0), uint64(0)
 	for _, m := range reg.Snapshot().Metrics {
-		if m.Name != "test_lat_fid" {
+		if m.Name != "activermt_packet_latency_fid_ns" {
 			continue
 		}
 		for _, s := range m.Samples {
@@ -223,8 +173,8 @@ func TestLatVecBoundedCardinality(t *testing.T) {
 			}
 		}
 	}
-	if children > latVecSlots+1 {
-		t.Fatalf("%d histogram children, want <= %d", children, latVecSlots+1)
+	if children > maxLatFIDs+1 {
+		t.Fatalf("%d histogram children, want <= %d", children, maxLatFIDs+1)
 	}
 	if total != fids {
 		t.Fatalf("observations conserved: %d, want %d", total, fids)

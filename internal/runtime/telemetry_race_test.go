@@ -86,10 +86,10 @@ func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 		}
 	}()
 
-	// Dataplane: one executor lane running both tenants' capsules against
+	// Dataplane: one executor running both tenants' capsules against
 	// whatever view is published. The toggled tenant's capsules land as
 	// executed, passthrough, or revoked drops depending on commit timing —
-	// refusals force-record into the lane flight recorder.
+	// refusals force-record into the executor's flight recorder.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -101,14 +101,11 @@ func TestTelemetryScrapeRacesGrantCommit(t *testing.T) {
 		for {
 			select {
 			case <-done:
-				sink.Path.FlushInto(r)
-				sink.Dev.FlushInto(r.Device())
 				return
 			default:
 			}
 			r.ExecuteCapsule(cache, res, sink)
 			r.ExecuteCapsule(probe, res, sink)
-			r.DeliverEvents(sink)
 			execs.Add(1)
 			gort.Gosched()
 		}

@@ -230,14 +230,14 @@ func TestRecircHHBudgetEndToEnd(t *testing.T) {
 
 	// The whole point: a cooperative consumer at the default budget never
 	// trips the limiter — no runtime throttles, no guard ledger entries.
-	if tb.RT.RecircThrottled != 0 {
-		t.Errorf("runtime throttled %d capsules", tb.RT.RecircThrottled)
+	if tb.RT.Counters().RecircThrottled.Value() != 0 {
+		t.Errorf("runtime throttled %d capsules", tb.RT.Counters().RecircThrottled.Value())
 	}
 	if led := tb.Guard.Tenant(claimFID); led != nil && led.Count(guard.KindRecircThrottled) != 0 {
 		t.Errorf("recirc-throttled ledger entries = %d, want 0", led.Count(guard.KindRecircThrottled))
 	}
 	// Spend accounting is exact: every claim recirculated once.
-	if got := tb.RT.Device().Recirculations; got != hh.Claims {
+	if got := tb.RT.Device().Counters().Recirculations.Value(); got != hh.Claims {
 		t.Errorf("device recirculations = %d, claims = %d", got, hh.Claims)
 	}
 	if hh.RecircSpent != hh.Claims {

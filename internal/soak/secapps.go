@@ -347,7 +347,7 @@ func (h *harness) secappsInvariants() (kind, detail string, bad bool) {
 	// Cooperative recirculation: the driver defers claims the budget cannot
 	// cover, so the limiter must never fire and the guard ledger must stay
 	// clean.
-	if n := s.hhNode.RT.RecircThrottled; n != 0 {
+	if n := s.hhNode.RT.Counters().RecircThrottled.Value(); n != 0 {
 		return "recirc-budget", fmt.Sprintf(
 			"%s throttled %d recirculating capsules (claims=%d deferred=%d budget=%d/epoch)",
 			s.hhNode.Name, n, s.hh.Claims, s.hh.ClaimsDeferred, h.cfg.RecircBudget), true

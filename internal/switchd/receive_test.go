@@ -2,6 +2,7 @@ package switchd
 
 import (
 	gort "runtime"
+	"strconv"
 	"testing"
 
 	"activermt/internal/apps"
@@ -9,6 +10,7 @@ import (
 	"activermt/internal/isa"
 	"activermt/internal/packet"
 	"activermt/internal/runtime"
+	"activermt/internal/telemetry"
 )
 
 // getQuery is the paper's Listing 1 cache query: a hit returns the value to
@@ -86,9 +88,9 @@ func TestReceiveOutputClasses(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	dev.Stage(1).Registers.Write(getAddr, getKey0)
-	dev.Stage(4).Registers.Write(getAddr+1, getKey1)
-	dev.Stage(8).Registers.Write(getAddr+2, getValue)
+	dev.Stage(1).Registers.Set(getAddr, getKey0)
+	dev.Stage(4).Registers.Set(getAddr+1, getKey1)
+	dev.Stage(8).Registers.Set(getAddr+2, getValue)
 	for _, fid := range []uint16{setDstFID, mirFID, quarantineFID, revokedFID, guardedFID} {
 		rt.AdmitStateless(fid)
 	}
@@ -134,15 +136,15 @@ func TestReceiveOutputClasses(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		fid   uint16
-		count *uint64
-	}{{"revoked", revokedFID, &rt.RevokedDrops}, {"quarantined", quarantineFID, &rt.QuarantineDrops}} {
+		count *telemetry.Counter
+	}{{"revoked", revokedFID, rt.Counters().RevokedDrops}, {"quarantined", quarantineFID, rt.Counters().QuarantineDrops}} {
 		raw := r.capsuleFrame(t, c.fid, probe, [4]uint32{}, 0)
 		orig := append([]byte(nil), raw...)
 		dropped := r.sw.FramesDropped
 		toA, toB = r.receive(t, raw)
-		if len(toA)+len(toB) != 0 || r.sw.FramesDropped != dropped+1 || *c.count != 1 {
+		if len(toA)+len(toB) != 0 || r.sw.FramesDropped != dropped+1 || c.count.Value() != 1 {
 			t.Fatalf("%s: %d frames left the switch, dropped %d->%d, runtime count %d",
-				c.name, len(toA)+len(toB), dropped, r.sw.FramesDropped, *c.count)
+				c.name, len(toA)+len(toB), dropped, r.sw.FramesDropped, c.count.Value())
 		}
 		if out := r.sw.res.Outputs; len(out) != 1 || !out[0].Dropped || out[0].Active.Header.Flags&packet.FlagFailed == 0 {
 			t.Fatalf("%s: refused output not marked FlagFailed", c.name)
@@ -179,7 +181,7 @@ func TestReceiveOutputClasses(t *testing.T) {
 	// epoch never reaches the runtime.
 	g := guard.New(rt, guard.Policy{RequireEpoch: true}, r.eng.Now)
 	r.sw.SetGuard(g)
-	run := rt.ProgramsRun
+	run := rt.Counters().ProgramsRun.Value()
 	raw := r.capsuleFrame(t, guardedFID, probe, [4]uint32{}, 0)
 	f, err := packet.DecodeFrame(raw)
 	if err != nil {
@@ -190,8 +192,8 @@ func TestReceiveOutputClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	toA, toB = r.receive(t, raw)
-	if len(toA)+len(toB) != 0 || r.sw.GuardDropped != 1 || rt.ProgramsRun != run {
-		t.Fatalf("guard drop: %d frames out, GuardDropped %d, executed %d", len(toA)+len(toB), r.sw.GuardDropped, rt.ProgramsRun-run)
+	if len(toA)+len(toB) != 0 || r.sw.GuardDropped != 1 || rt.Counters().ProgramsRun.Value() != run {
+		t.Fatalf("guard drop: %d frames out, GuardDropped %d, executed %d", len(toA)+len(toB), r.sw.GuardDropped, rt.Counters().ProgramsRun.Value()-run)
 	}
 }
 
@@ -209,9 +211,9 @@ func TestReceiveGetHitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := rt.Device()
-	dev.Stage(1).Registers.Write(getAddr, getKey0)
-	dev.Stage(4).Registers.Write(getAddr+1, getKey1)
-	dev.Stage(8).Registers.Write(getAddr+2, getValue)
+	dev.Stage(1).Registers.Set(getAddr, getKey0)
+	dev.Stage(4).Registers.Set(getAddr+1, getKey1)
+	dev.Stage(8).Registers.Set(getAddr+2, getValue)
 	raw := r.capsuleFrame(t, getFID, getQuery, [4]uint32{getKey0, getKey1, getAddr, 0}, 0)
 	in, _ := r.sw.Port(portA)
 
@@ -235,4 +237,40 @@ func TestReceiveGetHitAllocs(t *testing.T) {
 	} else {
 		t.Logf("Switch.Receive: %.2f allocs per GET hit", avg)
 	}
+}
+
+// TestReceivePerFIDLatency: a GET hit through Switch.Receive, with
+// telemetry attached, lands one observation in the executing FID's child of
+// the per-FID latency family — the switch's own execution path feeds it.
+func TestReceivePerFIDLatency(t *testing.T) {
+	r := newRig(t)
+	rt := r.sw.Runtime()
+	reg := telemetry.NewRegistry()
+	rt.AttachTelemetry(reg)
+	if _, err := rt.InstallGrant(runtime.Grant{FID: getFID, Accesses: []runtime.AccessGrant{
+		{Logical: 1, Lo: 0, Hi: 1024}, {Logical: 4, Lo: 0, Hi: 1024}, {Logical: 8, Lo: 0, Hi: 1024},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	dev := rt.Device()
+	dev.Stage(1).Registers.Set(getAddr, getKey0)
+	dev.Stage(4).Registers.Set(getAddr+1, getKey1)
+	dev.Stage(8).Registers.Set(getAddr+2, getValue)
+	if toA, _ := r.receive(t, r.capsuleFrame(t, getFID, getQuery, [4]uint32{getKey0, getKey1, getAddr, 0}, 0)); len(toA) != 1 {
+		t.Fatalf("GET hit: %d replies, want 1", len(toA))
+	}
+
+	want := `fid="` + strconv.Itoa(getFID) + `"`
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name != "activermt_packet_latency_fid_ns" {
+			continue
+		}
+		for _, s := range m.Samples {
+			if s.Labels == want && s.Hist != nil && s.Hist.Count == 1 {
+				return
+			}
+		}
+		t.Fatalf("per-FID latency samples %+v, want a %s child with count 1", m.Samples, want)
+	}
+	t.Fatal("activermt_packet_latency_fid_ns not registered")
 }

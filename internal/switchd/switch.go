@@ -26,8 +26,7 @@ type Switch struct {
 	cache *packet.ProgCache
 
 	// res and sink are the switch's execution scratch state and accounting
-	// context: outputs are consumed before the next capsule executes, and
-	// the sink is drained after every capsule.
+	// context: outputs are consumed before the next capsule executes.
 	res  *runtime.ExecResult
 	sink *runtime.ExecSink
 
@@ -219,13 +218,7 @@ func (s *Switch) execute(f *packet.Frame, in *netsim.Port) {
 		s.GuardDropped++
 		return
 	}
-	// Telemetry may be attached after the switch is built: bind the sink's
-	// flight recorder on first use.
-	s.rt.BindSink(s.sink)
 	s.rt.ExecuteCapsule(f.Active, s.res, s.sink)
-	s.sink.Path.FlushInto(s.rt)
-	s.sink.Dev.FlushInto(s.rt.Device())
-	s.rt.DeliverEvents(s.sink)
 	for _, out := range s.res.Outputs {
 		if out.Dropped {
 			s.FramesDropped++

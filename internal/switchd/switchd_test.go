@@ -304,7 +304,7 @@ func TestProgramExecutionThroughSwitch(t *testing.T) {
 	if reply.Active == nil || reply.Active.Header.Flags&packet.FlagRTS == 0 {
 		t.Fatalf("reply: %+v", reply)
 	}
-	if got := r.sw.Runtime().Device().Stage(2).Registers.Read(grant.Lo); got != 0xFEED {
+	if got := r.sw.Runtime().Device().Stage(2).Registers.Get(grant.Lo); got != 0xFEED {
 		t.Errorf("memory = %#x", got)
 	}
 	if r.sw.FramesReturned != 1 {

@@ -57,7 +57,7 @@ func (v *Verdict) UnmarshalText(b []byte) error {
 // or a guard escalation after the fact.
 type FlightEntry struct {
 	Seq       uint64  `json:"seq"`  // recorder-local sequence number
-	Lane      int     `json:"lane"` // execution lane (0 = single-threaded path)
+	Lane      int     `json:"lane"` // id of the executor that recorded the entry
 	FID       uint16  `json:"fid"`
 	Epoch     uint8   `json:"epoch"` // grant epoch the capsule executed against
 	Verdict   Verdict `json:"verdict"`
@@ -74,20 +74,20 @@ type FlightEntry struct {
 
 // Flight-recorder defaults: one entry per DefaultFlightPeriod executed
 // capsules is recorded (refusals are always recorded), into a ring of
-// DefaultFlightSize entries per lane.
+// DefaultFlightSize entries per executor.
 const (
 	DefaultFlightSize   = 256
 	DefaultFlightPeriod = 32
 )
 
-// FlightRecorder is a fixed-size ring of sampled capsule traces. Each lane
-// owns one: the sampling clock is a plain single-writer field, and the ring
-// itself is mutex-protected so the scrape goroutine can copy it out without
+// FlightRecorder is a fixed-size ring of sampled capsule traces. Each
+// executor owns one: the sampling countdown is a plain single-writer field,
+// and the ring itself is mutex-protected so the scrape goroutine can copy it out without
 // racing the writer. Record never allocates.
 type FlightRecorder struct {
-	lane   int
+	exec   int
 	period uint64
-	tick   uint64 // sampling clock; touched only by the owning lane
+	left   uint64 // capsules until the next sample; touched only by the owning executor
 
 	mu    sync.Mutex
 	ring  []FlightEntry
@@ -95,36 +95,37 @@ type FlightRecorder struct {
 	total uint64
 }
 
-// NewFlightRecorder returns a recorder for the given lane with a ring of
+// NewFlightRecorder returns a recorder for executor exec with a ring of
 // size entries, sampling one in period executed capsules. size and period
 // are clamped to at least 1.
-func NewFlightRecorder(lane, size int, period uint64) *FlightRecorder {
+func NewFlightRecorder(exec, size int, period uint64) *FlightRecorder {
 	if size < 1 {
 		size = 1
 	}
 	if period < 1 {
 		period = 1
 	}
-	return &FlightRecorder{lane: lane, period: period, ring: make([]FlightEntry, size)}
+	return &FlightRecorder{exec: exec, period: period, left: period, ring: make([]FlightEntry, size)}
 }
 
-// Lane returns the owning lane id.
-func (f *FlightRecorder) Lane() int { return f.lane }
-
 // ShouldSample advances the sampling clock and reports whether this capsule
-// is due for recording. Only the owning lane may call it.
+// is due for recording. Only the owning executor may call it.
 func (f *FlightRecorder) ShouldSample() bool {
-	f.tick++
-	return f.tick%f.period == 0
+	f.left--
+	if f.left != 0 {
+		return false
+	}
+	f.left = f.period
+	return true
 }
 
 // Record stores one entry, overwriting the oldest when the ring is full.
-// Seq and Lane are filled in by the recorder.
+// Seq and Lane (the executor id) are filled in by the recorder.
 func (f *FlightRecorder) Record(e FlightEntry) {
 	f.mu.Lock()
 	f.total++
 	e.Seq = f.total
-	e.Lane = f.lane
+	e.Lane = f.exec
 	f.ring[f.next] = e
 	f.next++
 	if f.next == len(f.ring) {

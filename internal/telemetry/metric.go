@@ -1,16 +1,16 @@
 // Package telemetry is the switch observability layer: a zero-alloc metrics
 // core (sharded counters, gauges, power-of-two latency histograms) recorded
-// through pre-registered handles, a per-lane flight recorder of sampled
+// through pre-registered handles, a per-executor flight recorder of sampled
 // capsule traces, and epoch-consistent registry snapshots that compose with
 // the runtime's atomic.Pointer publication scheme so a scrape never observes
 // a torn view across a grant commit.
 //
-// The recording discipline mirrors rmt.ExecStats: hot-path code accumulates
-// into plain lane-local state (HistLocal, ExecStats fields) and merges into
-// the shared atomic metrics at existing flush points, so the packet path adds
-// no locks and no allocations. Everything the scrape goroutine reads is
-// atomic-backed or mutex-protected; plain legacy counter fields must never be
-// exposed through a GaugeFunc.
+// Counters are the components' only ledger: a component builds its handles
+// at construction, counts into them, reads them back with Value, and
+// registers them when a registry is attached. The packet path adds no locks
+// and no allocations. Everything the scrape goroutine reads is atomic-backed
+// or mutex-protected; plain counter fields must never be exposed through a
+// GaugeFunc.
 package telemetry
 
 import (
@@ -64,8 +64,8 @@ type shard struct {
 }
 
 // Counter is a monotonically increasing counter, sharded across padded
-// cache lines so concurrent lanes adding at their flush points do not
-// contend on one word. Add is lock-free and allocation-free.
+// cache lines so concurrent adders do not contend on one word. Add is
+// lock-free and allocation-free.
 type Counter struct {
 	name, help string
 	shards     [numShards]shard
@@ -212,8 +212,7 @@ func bucketIdx(v uint64) int {
 func BucketBound(i int) uint64 { return uint64(1)<<uint(i) - 1 }
 
 // Histogram is a fixed-bucket power-of-two histogram with atomic cells.
-// Observe is lock-free; hot paths should prefer a lane-local HistLocal
-// flushed in at merge points.
+// Observe is lock-free and allocation-free.
 type Histogram struct {
 	name, help string
 	buckets    [NumBuckets]atomic.Uint64
@@ -251,50 +250,6 @@ func (h *Histogram) collect(ms *MetricSnapshot) {
 		hs.Buckets[i] = h.buckets[i].Load()
 	}
 	ms.Samples = append(ms.Samples, Sample{Hist: hs})
-}
-
-// HistLocal is the lane-local twin of Histogram: plain fields, single
-// writer, merged into a shared Histogram at flush points exactly like
-// ExecStats counters. The zero value is ready to use.
-type HistLocal struct {
-	Buckets    [NumBuckets]uint64
-	Count, Sum uint64
-}
-
-// Observe records one value (single-writer).
-func (h *HistLocal) Observe(v uint64) {
-	h.Buckets[bucketIdx(v)]++
-	h.Count++
-	h.Sum += v
-}
-
-// Merge adds o into h.
-func (h *HistLocal) Merge(o *HistLocal) {
-	for i, v := range o.Buckets {
-		h.Buckets[i] += v
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-}
-
-// Reset zeroes the accumulator.
-func (h *HistLocal) Reset() { *h = HistLocal{} }
-
-// FlushInto adds the accumulated observations into dst and resets h. Only
-// non-empty buckets touch shared state, so a flush after a single packet
-// costs a handful of atomic adds.
-func (h *HistLocal) FlushInto(dst *Histogram) {
-	if h.Count == 0 {
-		return
-	}
-	for i, v := range h.Buckets {
-		if v != 0 {
-			dst.buckets[i].Add(v)
-		}
-	}
-	dst.count.Add(h.Count)
-	dst.sum.Add(h.Sum)
-	h.Reset()
 }
 
 // CounterVec is a family of counters distinguished by one label. Children
@@ -402,57 +357,118 @@ func (v *GaugeVec) collect(ms *MetricSnapshot) {
 	}
 }
 
-// HistogramVec is a family of histograms distinguished by one label, for
-// per-tenant latency distributions. Children are memoized by label value and
-// collected in insertion order; owners enforce their own cardinality bound
-// (the runtime's per-FID latency recorder folds excess tenants into one
-// "other" child) because the vec itself cannot know which labels matter.
-type HistogramVec struct {
+// LevelHistogram is a histogram over a fixed, known set of values (levels):
+// an observation names its level's index, so Observe is one atomic add,
+// and the power-of-two buckets, count and sum are computed from the
+// per-level counts at collection. It suits quantities a model can only
+// take a few values of, such as the modeled latency of each stage-slot
+// count.
+type LevelHistogram struct {
+	levels []uint64
+	counts []atomic.Uint64
+}
+
+// Observe records one observation of levels[i].
+func (h *LevelHistogram) Observe(i int) { h.counts[i].Add(1) }
+
+// addTo accumulates the histogram's current state into hs.
+func (h *LevelHistogram) addTo(hs *HistSample) {
+	for i := range h.counts {
+		n := h.counts[i].Load()
+		if n == 0 {
+			continue
+		}
+		hs.Buckets[bucketIdx(h.levels[i])] += n
+		hs.Count += n
+		hs.Sum += n * h.levels[i]
+	}
+}
+
+// LevelHistogramVec is a family of level histograms distinguished by one
+// label, for per-tenant latency distributions. Children are memoized by
+// label value and collected in insertion order; owners enforce their own
+// cardinality bound (the runtime's per-FID latency family folds excess
+// tenants into one "other" child) because the vec itself cannot know which
+// labels matter.
+type LevelHistogramVec struct {
 	name, help, label string
+	levels            []uint64
 	mu                sync.Mutex
-	children          map[string]*Histogram
+	children          map[string]*LevelHistogram
 	order             []string
 }
 
-// NewHistogramVec returns an unregistered histogram family keyed by label.
-func NewHistogramVec(name, help, label string) *HistogramVec {
-	return &HistogramVec{name: name, help: help, label: label, children: make(map[string]*Histogram)}
+// NewLevelHistogramVec returns an unregistered level-histogram family keyed
+// by label, over the given levels.
+func NewLevelHistogramVec(name, help, label string, levels []uint64) *LevelHistogramVec {
+	return &LevelHistogramVec{name: name, help: help, label: label, levels: levels, children: make(map[string]*LevelHistogram)}
 }
 
 // Name implements Metric.
-func (v *HistogramVec) Name() string { return v.name }
+func (v *LevelHistogramVec) Name() string { return v.name }
 
 // Help implements Metric.
-func (v *HistogramVec) Help() string { return v.help }
+func (v *LevelHistogramVec) Help() string { return v.help }
 
 // Kind implements Metric.
-func (v *HistogramVec) Kind() Kind { return KindHistogram }
+func (v *LevelHistogramVec) Kind() Kind { return KindHistogram }
 
 // With returns the child histogram for the label value, creating it on first
 // use. Callers on hot paths must cache the returned handle.
-func (v *HistogramVec) With(value string) *Histogram {
+func (v *LevelHistogramVec) With(value string) *LevelHistogram {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	h, ok := v.children[value]
 	if !ok {
-		h = NewHistogram(v.name, v.help)
+		h = &LevelHistogram{levels: v.levels, counts: make([]atomic.Uint64, len(v.levels))}
 		v.children[value] = h
 		v.order = append(v.order, value)
 	}
 	return h
 }
 
-func (v *HistogramVec) collect(ms *MetricSnapshot) {
+func (v *LevelHistogramVec) collect(ms *MetricSnapshot) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, val := range v.order {
-		h := v.children[val]
-		hs := &HistSample{Count: h.count.Load(), Sum: h.sum.Load()}
-		for i := range h.buckets {
-			hs.Buckets[i] = h.buckets[i].Load()
-		}
+		hs := &HistSample{}
+		v.children[val].addTo(hs)
 		ms.Samples = append(ms.Samples, Sample{Labels: renderLabel(v.label, val), Hist: hs})
 	}
+}
+
+// Total returns an unregistered histogram metric named name whose value is
+// the sum of every child of v: the family-wide view of a per-label
+// histogram, so the hot path observes once and both are exposed.
+func (v *LevelHistogramVec) Total(name, help string) *HistogramTotal {
+	return &HistogramTotal{name: name, help: help, vec: v}
+}
+
+// HistogramTotal is a histogram collected as the sum of a
+// LevelHistogramVec's children (see LevelHistogramVec.Total).
+type HistogramTotal struct {
+	name, help string
+	vec        *LevelHistogramVec
+}
+
+// Name implements Metric.
+func (t *HistogramTotal) Name() string { return t.name }
+
+// Help implements Metric.
+func (t *HistogramTotal) Help() string { return t.help }
+
+// Kind implements Metric.
+func (t *HistogramTotal) Kind() Kind { return KindHistogram }
+
+func (t *HistogramTotal) collect(ms *MetricSnapshot) {
+	v := t.vec
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	hs := &HistSample{}
+	for _, h := range v.children {
+		h.addTo(hs)
+	}
+	ms.Samples = append(ms.Samples, Sample{Hist: hs})
 }
 
 // renderLabel renders one label pair in exposition form.

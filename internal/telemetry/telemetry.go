@@ -105,9 +105,9 @@ func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
 	return v
 }
 
-// NewHistogramVec constructs and registers a histogram family.
-func (r *Registry) NewHistogramVec(name, help, label string) *HistogramVec {
-	v := NewHistogramVec(name, help, label)
+// NewLevelHistogramVec constructs and registers a level-histogram family.
+func (r *Registry) NewLevelHistogramVec(name, help, label string, levels []uint64) *LevelHistogramVec {
+	v := NewLevelHistogramVec(name, help, label, levels)
 	r.MustRegister(v)
 	return v
 }

@@ -30,13 +30,10 @@ func TestCounterZeroAlloc(t *testing.T) {
 	c := NewCounter("x_total", "")
 	g := NewGauge("g", "")
 	h := NewHistogram("h", "")
-	var hl HistLocal
 	if avg := testing.AllocsPerRun(100, func() {
 		c.Add(3)
 		g.Set(7)
 		h.Observe(123)
-		hl.Observe(456)
-		hl.FlushInto(h)
 	}); avg != 0 {
 		t.Fatalf("metric ops allocate %.2f/op, want 0", avg)
 	}
@@ -66,21 +63,22 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistLocalMergeFlush(t *testing.T) {
-	var a, b HistLocal
-	a.Observe(5)
-	b.Observe(100)
-	a.Merge(&b)
-	if a.Count != 2 || a.Sum != 105 {
-		t.Fatalf("merge: count/sum = %d/%d", a.Count, a.Sum)
+func TestLevelHistogramTotalSumsChildren(t *testing.T) {
+	reg := NewRegistry()
+	vec := reg.NewLevelHistogramVec("lat_fid_ns", "", "fid", []uint64{2, 3, 900})
+	reg.MustRegister(vec.Total("lat_ns", ""))
+	vec.With("1").Observe(1)
+	vec.With("1").Observe(2)
+	vec.With("2").Observe(0)
+
+	snap := reg.Snapshot()
+	total := snap.Metrics[1]
+	if total.Name != "lat_ns" || total.Type != "histogram" || len(total.Samples) != 1 {
+		t.Fatalf("total metric = %+v", total)
 	}
-	h := NewHistogram("h", "")
-	a.FlushInto(h)
-	if h.Count() != 2 || h.Sum() != 105 {
-		t.Fatalf("flush: count/sum = %d/%d", h.Count(), h.Sum())
-	}
-	if a.Count != 0 {
-		t.Fatal("flush did not reset the local accumulator")
+	hs := total.Samples[0].Hist
+	if hs.Count != 3 || hs.Sum != 905 || hs.Buckets[2] != 2 || hs.Buckets[10] != 1 {
+		t.Fatalf("total = count %d sum %d buckets %v, want the children's sum", hs.Count, hs.Sum, hs.Buckets[:12])
 	}
 }
 
@@ -184,7 +182,7 @@ func TestFlightRecorderRing(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("%d entries, want 4 (ring size)", len(got))
 	}
-	// Oldest-first: FIDs 3,4,5,6 with sequence numbers 3..6 and the lane id.
+	// Oldest-first: FIDs 3,4,5,6 with sequence numbers 3..6 and the executor id.
 	for i, e := range got {
 		if e.FID != uint16(3+i) || e.Seq != uint64(3+i) || e.Lane != 2 {
 			t.Fatalf("entry %d: %+v", i, e)

@@ -186,7 +186,7 @@ func TestAdversaryQuarantinedThenEvicted(t *testing.T) {
 			}
 		}
 	}
-	if tb.RT.Faults == 0 {
+	if tb.RT.Counters().Faults.Value() == 0 {
 		t.Error("no protection faults recorded for the scan")
 	}
 
@@ -415,7 +415,6 @@ func TestEvictionSnapshotOrdering(t *testing.T) {
 			view := dev.View()
 			_, viewHas := view.StageView(stage).Region(2)
 			tb.RT.ExecuteCapsule(a, res, sink)
-			tb.RT.DeliverEvents(sink)
 			burst = append(burst, obs{gen: view.Gen, viewHas: viewHas, wrote: word() != before})
 		})
 	}

@@ -533,7 +533,7 @@ func TestMirrorService(t *testing.T) {
 		t.Errorf("collector saw %d clones, want 10", collector.frames)
 	}
 	// Clones cost recirculations (bandwidth inflation, Section 7.2).
-	if tb.RT.Device().Recirculations == 0 {
+	if tb.RT.Device().Counters().Recirculations.Value() == 0 {
 		t.Error("FORK clones should recirculate")
 	}
 }
